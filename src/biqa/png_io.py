@@ -51,7 +51,9 @@ def write_png(path: str, pixels: np.ndarray, bit_depth: int = 16) -> None:
 
     height, width = raw.shape[:2]
     rows = raw.reshape(height, -1).view(np.uint8).reshape(height, -1)
-    scanlines = b"".join(b"\x00" + row.tobytes() for row in rows)
+    lines = np.zeros((height, rows.shape[1] + 1), dtype=np.uint8)
+    lines[:, 1:] = rows  # column 0 is each scanline's filter byte, type 0
+    scanlines = lines.tobytes()
 
     ihdr = struct.pack(">IIBBBBB", width, height, bit_depth, color_type, 0, 0, 0)
     with open(path, "wb") as fh:
@@ -106,14 +108,16 @@ def read_png(path: str) -> np.ndarray:
     if len(raw) != height * (stride + 1):
         raise PngError(f"{path}: scanline data has wrong length")
 
-    recon = np.zeros((height, stride), dtype=np.uint8)
-    prior = np.zeros(stride, dtype=np.uint8)
-    for y in range(height):
-        offset = y * (stride + 1)
-        ftype = raw[offset]
-        line = np.frombuffer(raw, dtype=np.uint8, count=stride, offset=offset + 1)
-        recon[y] = _unfilter(ftype, line, prior, bpp, path)
-        prior = recon[y]
+    lines = np.frombuffer(raw, dtype=np.uint8).reshape(height, stride + 1)
+    if lines[:, 0].any():
+        recon = np.zeros((height, stride), dtype=np.uint8)
+        prior = np.zeros(stride, dtype=np.uint8)
+        for y in range(height):
+            recon[y] = _unfilter(int(lines[y, 0]), lines[y, 1:], prior, bpp, path)
+            prior = recon[y]
+    else:
+        # every scanline has filter type 0, as write_png emits: no unfiltering
+        recon = lines[:, 1:]
 
     if bit_depth == 16:
         samples = recon.reshape(height, width * channels, 2)

@@ -3,9 +3,11 @@
 Every biased scorer rates every pool image once (on its fixed central
 crop), the score difference of a pair becomes a probability through a
 sigmoid, and the ensemble's mean probability is the pair's pseudo-label.
-Scores are deliberately not renormalized across models: stage-1 training
-already targets [0,1] labels, so per-model probabilities land inside
-roughly [0.269, 0.731], softening extreme pairs on purpose.
+Scores are deliberately not renormalized across models. Stage-1 training
+targets labels in [0, 1], but nothing bounds a trained scorer's output, so
+a model's probabilities stay inside roughly [0.269, 0.731] only while its
+scores stay inside [0, 1]. A model whose scores span a wider range gives
+probabilities further from 0.5 and so weighs more in the ensemble mean.
 
 Pairs are drawn without replacement from the n*(n-1) ordered-pair index
 space by a keyed Feistel permutation with cycle walking, so pair lists

@@ -13,6 +13,7 @@ Everything runs in 64-bit and is deterministic.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -100,6 +101,15 @@ def layout_for(config: ScorerConfig) -> list[tuple[str, int, tuple[int, ...]]]:
     return entries
 
 
+@functools.lru_cache(maxsize=64)
+def _tensor_table(config: ScorerConfig) -> dict[str, tuple[int, int, tuple[int, ...]]]:
+    """name -> (offset, size, shape), built once per config."""
+    return {
+        name: (offset, int(np.prod(shape)), shape)
+        for name, offset, shape in layout_for(config)
+    }
+
+
 def param_count(config: ScorerConfig) -> int:
     layout = layout_for(config)
     name, offset, shape = layout[-1]
@@ -113,11 +123,11 @@ class ScorerParams:
     meta: dict = field(default_factory=dict)
 
     def tensor(self, name: str) -> np.ndarray:
-        for entry_name, offset, shape in layout_for(self.config):
-            if entry_name == name:
-                size = int(np.prod(shape))
-                return self.values[offset : offset + size].reshape(shape)
-        raise ScorerError(f"no tensor named {name!r}")
+        try:
+            offset, size, shape = _tensor_table(self.config)[name]
+        except KeyError:
+            raise ScorerError(f"no tensor named {name!r}") from None
+        return self.values[offset : offset + size].reshape(shape)
 
     def copy(self) -> "ScorerParams":
         return ScorerParams(self.config, self.values.copy(), dict(self.meta))
@@ -153,13 +163,19 @@ def _conv_geometry(config: ScorerConfig) -> list[dict]:
 
     Output size is ceil(n/2); total padding 2*ceil(n/2) + 1 - n is split
     floor-half to the top/left, remainder to the bottom/right.
+
+    `cols_idx` holds the source pixel of each (output position, kernel
+    tap); `take_idx` expands it over the input channels into an index of
+    one image's flat (pixel, channel) values, in (position, tap, channel)
+    order, which is the im2col row layout.
     """
     key = (config.patch_size, config.channels_in, config.conv_channels)
     if key in _GEOM_CACHE:
         return _GEOM_CACHE[key]
     layers = []
     size = config.patch_size
-    for _ in config.conv_channels:
+    cin = config.channels_in
+    for cout in config.conv_channels:
         out = (size + 1) // 2
         pad_total = 2 * out + 1 - size
         pad_lo = pad_total // 2
@@ -176,8 +192,12 @@ def _conv_geometry(config: ScorerConfig) -> list[dict]:
                     for kx in range(3)
                 ]
                 idx[oy * out + ox] = taps
-        layers.append({"in_size": size, "out_size": out, "cols_idx": idx})
+        take_idx = (idx[:, :, None] * cin + np.arange(cin)).ravel()
+        layers.append(
+            {"in_size": size, "out_size": out, "cols_idx": idx, "take_idx": take_idx}
+        )
         size = out
+        cin = cout
     _GEOM_CACHE[key] = layers
     return layers
 
@@ -231,8 +251,9 @@ def forward_batch(
     cin = config.channels_in
     for i, cout in enumerate(config.conv_channels):
         geo = geometry[i]
-        flat = current.reshape(b, geo["in_size"] ** 2, cin)
-        cols = flat[:, geo["cols_idx"], :].reshape(b, geo["out_size"] ** 2, 9 * cin)
+        cols = np.take(current.reshape(b, -1), geo["take_idx"], axis=1).reshape(
+            b, geo["out_size"] ** 2, 9 * cin
+        )
         w = params.tensor(f"conv{i}_w").reshape(9 * cin, cout)
         pre = cols @ w + params.tensor(f"conv{i}_b")
         conv_cols.append(cols)
@@ -302,16 +323,14 @@ def backward(
         if i == 0:
             break
         w = params.tensor(f"conv{i}_w").reshape(9 * cin, cout)
-        d_cols = (d_pre @ w.T).reshape(-1, cin)
+        d_cols = d_pre @ w.T
+        # col2im: bincount adds each bin's weights in input order, so every
+        # (pixel, channel) sum runs over its taps in (position, tap) order
+        n_in = geo["in_size"] ** 2 * cin
         flat_idx = (
-            np.arange(b, dtype=np.int64)[:, None, None] * geo["in_size"] ** 2
-            + geo["cols_idx"][None, :, :]
+            np.arange(b, dtype=np.int64)[:, None] * n_in + geo["take_idx"]
         ).ravel()
-        d_input = np.empty((b * geo["in_size"] ** 2, cin))
-        for c in range(cin):
-            d_input[:, c] = np.bincount(
-                flat_idx, weights=d_cols[:, c], minlength=b * geo["in_size"] ** 2
-            )
+        d_input = np.bincount(flat_idx, weights=d_cols.ravel(), minlength=b * n_in)
         d_post = d_input.reshape(b, geo["in_size"] ** 2, cin)
     return grad.values
 

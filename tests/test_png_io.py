@@ -142,3 +142,39 @@ def test_reader_handles_all_filter_types(tmp_path):
         left = (2 + paeth(left, above, upleft)) & 0xFF
         r4.append(left)
     assert list(img[4]) == r4
+
+
+def test_reader_unfilters_a_late_row_after_unfiltered_rows(tmp_path):
+    # only the last scanline is filtered, so a check of the first filter
+    # byte alone would return it raw
+    rows = [
+        (0, [10, 20, 30, 40]),
+        (0, [50, 60, 70, 80]),
+        (0, [1, 2, 3, 4]),
+        (2, [5, 5, 5, 250]),  # up: adds the row above, mod 256
+    ]
+    path = tmp_path / "late.png"
+    path.write_bytes(_png_with_filters(4, 4, rows))
+    img = np.rint(read_png(str(path)) * 255).astype(int)
+    assert img.tolist() == [
+        [10, 20, 30, 40],
+        [50, 60, 70, 80],
+        [1, 2, 3, 4],
+        [6, 7, 8, 254],
+    ]
+
+
+def test_writer_bytes_match_per_row_scanlines(tmp_path):
+    # the IDAT stream is one 0 filter byte plus the big-endian samples per row
+    img = SplitMix64(4).uniform_block(7 * 5 * 3).reshape(7, 5, 3)
+    path = tmp_path / "w.png"
+    write_png(str(path), img)
+    quant = np.clip(np.rint(img * 65535), 0, 65535).astype(">u2")
+    scan = b"".join(b"\x00" + row.tobytes() for row in quant.reshape(7, -1))
+    expected = (
+        b"\x89PNG\r\n\x1a\n"
+        + _chunk(b"IHDR", struct.pack(">IIBBBBB", 5, 7, 16, 2, 0, 0, 0))
+        + _chunk(b"IDAT", zlib.compress(scan, 6))
+        + _chunk(b"IEND", b"")
+    )
+    assert path.read_bytes() == expected

@@ -4,6 +4,7 @@ import pytest
 from biqa.dataset import ImageRecord
 from biqa.rng import SplitMix64
 from biqa.scorer import (
+    _conv_geometry,
     ScorerConfig,
     ScorerError,
     ScorerParams,
@@ -179,6 +180,103 @@ def test_backward_linearity_in_upstream():
     g2 = backward(trace, params, 2.0 * u)
     assert np.allclose(g2, 2.0 * g, rtol=1e-12, atol=0)
 
+
+
+def _reference_forward_backward(params, x, upstream):
+    """Scores and gradient through a multi-axis fancy-index im2col and one
+    col2im bincount per input channel, the formulation forward_batch and
+    backward must reproduce bit for bit."""
+    cfg = params.config
+    geometry = _conv_geometry(cfg)
+    b = x.shape[0]
+    cols_per_layer, pre_per_layer = [], []
+    current, cin = x, cfg.channels_in
+    for i, cout in enumerate(cfg.conv_channels):
+        geo = geometry[i]
+        flat = current.reshape(b, geo["in_size"] ** 2, cin)
+        cols = flat[:, geo["cols_idx"], :].reshape(b, geo["out_size"] ** 2, 9 * cin)
+        w = params.tensor(f"conv{i}_w").reshape(9 * cin, cout)
+        pre = cols @ w + params.tensor(f"conv{i}_b")
+        cols_per_layer.append(cols)
+        pre_per_layer.append(pre)
+        current, cin = np.maximum(pre, 0.0), cout
+    gap = current.mean(axis=1)
+    fc1_pre = gap @ params.tensor("fc1_w") + params.tensor("fc1_b")
+    fc1_post = np.maximum(fc1_pre, 0.0)
+    scores = (fc1_post @ params.tensor("fc2_w") + params.tensor("fc2_b"))[:, 0]
+
+    grad = ScorerParams(cfg, np.zeros_like(params.values))
+    d_score = upstream[:, None]
+    grad.tensor("fc2_w")[...] = fc1_post.T @ d_score
+    grad.tensor("fc2_b")[...] = d_score.sum(axis=0)
+    d_fc1_pre = (d_score @ params.tensor("fc2_w").T) * (fc1_pre > 0.0)
+    grad.tensor("fc1_w")[...] = gap.T @ d_fc1_pre
+    grad.tensor("fc1_b")[...] = d_fc1_pre.sum(axis=0)
+    d_gap = d_fc1_pre @ params.tensor("fc1_w").T
+    n_last = geometry[-1]["out_size"] ** 2
+    d_post = np.repeat(d_gap[:, None, :] / n_last, n_last, axis=1)
+    channel_in = [cfg.channels_in] + list(cfg.conv_channels[:-1])
+    for i in range(len(cfg.conv_channels) - 1, -1, -1):
+        geo = geometry[i]
+        cin, cout = channel_in[i], cfg.conv_channels[i]
+        d_pre = d_post * (pre_per_layer[i] > 0.0)
+        grad.tensor(f"conv{i}_w")[...] = (
+            cols_per_layer[i].reshape(-1, 9 * cin).T @ d_pre.reshape(-1, cout)
+        ).reshape(3, 3, cin, cout)
+        grad.tensor(f"conv{i}_b")[...] = d_pre.sum(axis=(0, 1))
+        if i == 0:
+            break
+        w = params.tensor(f"conv{i}_w").reshape(9 * cin, cout)
+        d_cols = (d_pre @ w.T).reshape(-1, cin)
+        n_pix = geo["in_size"] ** 2
+        flat_idx = (
+            np.arange(b)[:, None, None] * n_pix + geo["cols_idx"][None, :, :]
+        ).ravel()
+        d_input = np.empty((b * n_pix, cin))
+        for c in range(cin):
+            d_input[:, c] = np.bincount(
+                flat_idx, weights=d_cols[:, c], minlength=b * n_pix
+            )
+        d_post = d_input.reshape(b, n_pix, cin)
+    return scores, grad.values
+
+
+@pytest.mark.parametrize("channels_in", [1, 3])
+@pytest.mark.parametrize(
+    "patch_size,conv_channels,hidden",
+    [(6, (2, 3), 3), (10, (4, 6, 8), 8), (12, (4, 6, 8), 8), (32, (8, 16, 32), 64)],
+)
+@pytest.mark.parametrize("batch", [1, 5, 32])
+def test_forward_backward_bit_identical_to_reference(
+    channels_in, patch_size, conv_channels, hidden, batch
+):
+    cfg = ScorerConfig(
+        patch_size=patch_size,
+        channels_in=channels_in,
+        conv_channels=conv_channels,
+        hidden=hidden,
+    )
+    params = init_params(cfg, seed=patch_size + channels_in)
+    # nonzero biases so ReLU masks differ from layer to layer
+    rng = SplitMix64(batch)
+    params.values += 0.05 * rng.normal_block(params.values.size)
+    x = rng.uniform_block(batch * patch_size**2 * channels_in).reshape(
+        batch, patch_size, patch_size, channels_in
+    )
+    upstream = rng.normal_block(batch)
+    scores, trace = forward_batch(params, x)
+    grad = backward(trace, params, upstream)
+    ref_scores, ref_grad = _reference_forward_backward(params, x, upstream)
+    assert np.array_equal(scores, ref_scores)
+    assert np.array_equal(grad, ref_grad)
+    # conv0's gradient passes through every col2im, so it must not be all zero
+    assert np.count_nonzero(ScorerParams(cfg, grad).tensor("conv0_w")) > 0
+
+
+def test_tensor_rejects_unknown_name():
+    params = init_params(_cfg(), seed=0)
+    with pytest.raises(ScorerError, match="no tensor"):
+        params.tensor("conv9_w")
 
 def test_predict_image_deterministic_no_flips():
     cfg = _cfg()
