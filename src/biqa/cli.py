@@ -9,6 +9,7 @@ error, 2 data or validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -18,8 +19,8 @@ import numpy as np
 
 from .dataset import DatasetError, load_manifest, rescale_mos, split_dataset
 from .harness import ExperimentRunner, HarnessError, load_config, reference_config
-from .metrics import EvalReport, MetricError, ScoredModel, cross_dataset_matrix, \
-    evaluate, matrix_to_json, render_matrix_csv, srcc
+from .metrics import MetricError, ScoredModel, cross_dataset_matrix, evaluate, \
+    matrix_to_json, render_matrix_csv, repeated_split_eval, srcc
 from .pseudolabel import (
     EnsembleSnapshot,
     PseudoLabelError,
@@ -69,17 +70,6 @@ def _read_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _dataset_config(d: dict) -> BiasedDatasetConfig:
-    return BiasedDatasetConfig(
-        name=str(d["name"]),
-        n_images=int(d["n_images"]),
-        allowed_kinds=tuple(d["allowed_kinds"]),
-        label_remap=str(d["label_remap"]),
-        seed=int(d["seed"]),
-        image_size=int(d.get("image_size", 48)),
-    )
-
-
 def _scorer_config(path: str | None) -> ScorerConfig:
     if path is None:
         return ScorerConfig(patch_size=32, channels_in=1, conv_channels=(8, 16, 32))
@@ -117,16 +107,9 @@ def _scores_for(params, manifest) -> dict[str, float]:
 
 
 def _cmd_synth_gen(args) -> dict:
-    config = _dataset_config(_read_json(args.config))
+    config = BiasedDatasetConfig.from_dict(_read_json(args.config))
     if args.seed is not None:
-        config = BiasedDatasetConfig(
-            name=config.name,
-            n_images=config.n_images,
-            allowed_kinds=config.allowed_kinds,
-            label_remap=config.label_remap,
-            seed=args.seed,
-            image_size=config.image_size,
-        )
+        config = dataclasses.replace(config, seed=args.seed)
     manifest, _ = gen_biased_dataset(config, args.out)
     log.info("wrote %d images under %s", len(manifest.records), args.out)
     return {
@@ -199,31 +182,14 @@ def _cmd_eval(args) -> dict:
     trained_on = str(params.meta.get("trained_on", "unknown"))
     scores = _scores_for(params, manifest)
     if args.splits:
-        seed = args.seed if args.seed is not None else 0
-        rows = []
-        for i in range(args.splits):
-            split = split_dataset(manifest, derive_seed(seed, "split", i))
-            ids = split.test_ids
-            rows.append(
-                evaluate(
-                    [scores[j] for j in ids],
-                    [manifest.labels[j] for j in ids],
-                    model=name,
-                    trained_on=trained_on,
-                    dataset=manifest.name,
-                )
-            )
-        report = EvalReport(
-            model=name,
-            trained_on=trained_on,
-            dataset=manifest.name,
-            n=rows[0].n,
-            srcc=float(np.median([r.srcc for r in rows])),
-            plcc=float(np.median([r.plcc for r in rows])),
-            raw_pearson=float(np.median([r.raw_pearson for r in rows])),
-            betas=None,
-            seed=seed,
+        report = repeated_split_eval(
+            manifest,
+            lambda *_: scores,
+            k=args.splits,
+            base_seed=args.seed if args.seed is not None else 0,
+            model_name=name,
         )
+        report = dataclasses.replace(report, trained_on=trained_on)
     else:
         ids = [r.id for r in manifest.records]
         report = evaluate(

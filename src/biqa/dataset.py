@@ -50,12 +50,6 @@ class DatasetManifest:
     labels: dict[str, float]
     rescaled: dict[str, float] | None = None
 
-    def record(self, record_id: str) -> ImageRecord:
-        for rec in self.records:
-            if rec.id == record_id:
-                return rec
-        raise DatasetError(f"unknown record id {record_id!r}")
-
     @property
     def by_id(self) -> dict[str, ImageRecord]:
         return {rec.id: rec for rec in self.records}

@@ -6,13 +6,17 @@ ensemble, train a final scorer on those pairs, then evaluate everything on
 every dataset (against ground truth and against each dataset's own biased
 labels), plus pair-count and ensemble-composition ablations.
 
-Artifacts are content-addressed (the first 12 hex chars of the file's
-sha256 appear in its name) and recorded in state.json per stage together
-with a signature over that stage's configuration and input hashes. A
-rerun with an unchanged signature verifies and reuses the artifacts; a
-hash mismatch on a recorded artifact is refused rather than silently
-recomputed (--force rebuilds). Every RNG stream is derived from the
-experiment's master seed and a unit label, so any --threads setting
+Every stage runs through ExperimentRunner._stage. Artifacts are
+content-addressed (the first 12 hex chars of the file's sha256 appear in
+its name) and recorded in state.json per stage together with a signature
+over that stage's configuration and input hashes. A stage is recorded only
+after all its artifacts are in place, so a run interrupted mid-stage
+rebuilds that stage on resume. Reports, summary.json and state.json land
+through a temp file and a rename, so none is ever half-written. A rerun
+with an unchanged signature verifies each recorded artifact once and
+reuses it; a hash mismatch on a recorded artifact is refused rather than
+silently recomputed (--force rebuilds). Every RNG stream is derived from
+the experiment's master seed and a unit label, so any --threads setting
 produces byte-identical outputs.
 
 All paths inside state and reports are relative to the output directory.
@@ -91,6 +95,23 @@ def _canon(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _json_text(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+
+
+def _read_json(path: str):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _write_atomic(path: str, text: str) -> None:
+    """Write through path + ".tmp" and a rename, so path is never half-written."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
 def signature_of(payload: dict) -> str:
     return sha256_bytes(_canon(payload).encode("utf-8"))
 
@@ -159,21 +180,11 @@ class ExperimentConfig:
         return subset_tag(self.dataset_names)
 
     def to_dict(self) -> dict:
-        def ds(c: BiasedDatasetConfig) -> dict:
-            return {
-                "name": c.name,
-                "n_images": c.n_images,
-                "allowed_kinds": list(c.allowed_kinds),
-                "label_remap": c.label_remap,
-                "seed": c.seed,
-                "image_size": c.image_size,
-            }
-
         return {
             "schema": SCHEMA_VERSION,
             "master_seed": self.master_seed,
-            "datasets": [ds(c) for c in self.datasets],
-            "pool": ds(self.pool),
+            "datasets": [c.to_dict() for c in self.datasets],
+            "pool": self.pool.to_dict(),
             "pair_ladder": list(self.pair_ladder),
             "ensemble_subsets": [list(s) for s in self.ensemble_subsets],
             "scorer": self.scorer.to_dict(),
@@ -188,21 +199,10 @@ class ExperimentConfig:
             raise HarnessError(
                 f"config schema {d.get('schema')!r}, expected {SCHEMA_VERSION}"
             )
-
-        def ds(entry: dict) -> BiasedDatasetConfig:
-            return BiasedDatasetConfig(
-                name=str(entry["name"]),
-                n_images=int(entry["n_images"]),
-                allowed_kinds=tuple(entry["allowed_kinds"]),
-                label_remap=str(entry["label_remap"]),
-                seed=int(entry["seed"]),
-                image_size=int(entry.get("image_size", 48)),
-            )
-
         config = ExperimentConfig(
             master_seed=int(d["master_seed"]),
-            datasets=[ds(e) for e in d["datasets"]],
-            pool=ds(d["pool"]),
+            datasets=[BiasedDatasetConfig.from_dict(e) for e in d["datasets"]],
+            pool=BiasedDatasetConfig.from_dict(d["pool"]),
             pair_ladder=[int(n) for n in d["pair_ladder"]],
             ensemble_subsets=[list(s) for s in d["ensemble_subsets"]],
             scorer=ScorerConfig.from_dict(d["scorer"]),
@@ -266,13 +266,11 @@ def reference_config(master_seed: int = 42) -> ExperimentConfig:
 
 
 def save_config(config: ExperimentConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(config.to_dict(), sort_keys=True, indent=1) + "\n")
+    _write_atomic(path, _json_text(config.to_dict()))
 
 
 def load_config(path: str) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
-        return ExperimentConfig.from_dict(json.load(fh))
+    return ExperimentConfig.from_dict(_read_json(path))
 
 
 class ExperimentState:
@@ -288,17 +286,13 @@ class ExperimentState:
         path = os.path.join(out_dir, "state.json")
         if not os.path.exists(path):
             return ExperimentState(out_dir)
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = _read_json(path)
         if data.get("schema") != SCHEMA_VERSION:
             raise HarnessError(f"{path}: unsupported state schema")
         return ExperimentState(out_dir, data)
 
     def save(self) -> None:
-        tmp = self.path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(self.data, sort_keys=True, indent=1) + "\n")
-        os.replace(tmp, self.path)
+        _write_atomic(self.path, _json_text(self.data))
 
     def stage(self, name: str) -> dict | None:
         return self.data["stages"].get(name)
@@ -334,6 +328,15 @@ def _tree_digest(root: str) -> str:
     return h.hexdigest()
 
 
+def _data_files(name: str) -> tuple[tuple[str, str], ...]:
+    """(output label, file name under data/) of a dataset's two CSVs."""
+    return (("csv", f"{name}.csv"), ("truth", f"{name}.truth.csv"))
+
+
+def _unseeded(train: TrainConfig) -> dict:
+    return {k: v for k, v in train.to_dict().items() if k != "seed"}
+
+
 def _batched_scores(params: ScorerParams, crops: np.ndarray) -> np.ndarray:
     out = np.empty(len(crops))
     for lo in range(0, len(crops), _EVAL_BATCH):
@@ -365,11 +368,9 @@ class ExperimentRunner:
         self.s1_models: dict[str, dict] = {}
         self.pair_entries: dict[str, dict] = {}
         self.cdr_models: dict[str, dict] = {}
-        self._dataset_digests: dict[str, str] = {}
         self._pool_store: dict | None = None
         self._eval_crops: dict | None = None
-        self._done: set[str] = set()
-        self._reports: dict[str, dict] = {}
+        self._memo: dict[str, object] = {}
 
     # ---- helpers -------------------------------------------------------
 
@@ -379,40 +380,54 @@ class ExperimentRunner:
         with ThreadPoolExecutor(max_workers=self.threads) as pool:
             return list(pool.map(fn, items))
 
-    def _stage_fresh(self, name: str, signature: str) -> bool:
-        """True when the stage must run; raises on stale recorded outputs."""
-        stage = self.state.stage(name)
-        if self.force or stage is None or stage["signature"] != signature:
-            return True
-        if not self.state.outputs_ok(name):
-            raise HarnessError(
-                f"stage {name!r} artifacts do not match their recorded hashes; "
-                "rerun with --force to rebuild"
-            )
-        log.info("stage %s: skipped (up to date)", name)
-        return False
+    def _stage(self, name: str, payload: dict, build, load):
+        """Run one cached stage once per runner and return load(outputs).
 
-    def _verified(self, stage_name: str, label: str) -> dict:
-        stage = self.state.stage(stage_name)
-        if stage is None or label not in stage["outputs"]:
-            raise HarnessError(f"missing artifact {label!r} from stage {stage_name!r}")
-        entry = stage["outputs"][label]
-        path = os.path.join(self.out_dir, entry["path"])
-        if not os.path.exists(path) or sha256_file(path) != entry["sha256"]:
-            raise HarnessError(f"artifact {entry['path']} is stale or missing")
-        return entry
+        The stage is signed over {"stage": name} | payload. When it is
+        unrecorded, its signature changed or --force is set, build() writes
+        its artifacts and returns their state entries, which are recorded
+        only after it returns. Otherwise every recorded artifact is
+        verified once; a mismatch is refused.
+        """
+        if name not in self._memo:
+            signature = signature_of({"stage": name} | payload)
+            stage = self.state.stage(name)
+            if self.force or stage is None or stage["signature"] != signature:
+                self.state.record(name, signature, build())
+            elif not self.state.outputs_ok(name):
+                raise HarnessError(
+                    f"stage {name!r} artifacts do not match their recorded hashes; "
+                    "rerun with --force to rebuild"
+                )
+            else:
+                log.info("stage %s: skipped (up to date)", name)
+            self._memo[name] = load(self.state.stage(name)["outputs"])
+        return self._memo[name]
 
     def _dataset_digest(self, name: str) -> str:
-        if name not in self._dataset_digests:
-            data_dir = os.path.join(self.out_dir, "data")
-            h = hashlib.sha256()
-            for rel in (f"{name}.csv", f"{name}.truth.csv"):
-                h.update(rel.encode("utf-8"))
-                h.update(b"\0")
-                h.update(bytes.fromhex(sha256_file(os.path.join(data_dir, rel))))
-            h.update(bytes.fromhex(_tree_digest(os.path.join(data_dir, name))))
-            self._dataset_digests[name] = h.hexdigest()
-        return self._dataset_digests[name]
+        """One dataset's digest, from the hashes the data stage recorded."""
+        outputs = self.state.stage("data")["outputs"]
+        h = hashlib.sha256()
+        for label, rel in _data_files(name):
+            h.update(rel.encode("utf-8"))
+            h.update(b"\0")
+            h.update(bytes.fromhex(outputs[f"{label}:{name}"]["sha256"]))
+        h.update(bytes.fromhex(outputs[f"images:{name}"]["sha256"]))
+        return h.hexdigest()
+
+    def _save_model(self, params: ScorerParams, stem: str) -> dict:
+        digest = sha256_bytes(serialize_params(params))
+        rel = f"models/{stem}-{digest[:12]}.bin"
+        save_params(params, os.path.join(self.out_dir, rel))
+        return {"path": rel, "sha256": digest}
+
+    def _load_models(self, outputs: dict, keys: list[str]) -> dict[str, dict]:
+        models = {}
+        for key in keys:
+            entry = outputs[f"model:{key}"]
+            path = os.path.join(self.out_dir, entry["path"])
+            models[key] = {"params": load_params(path)} | entry
+        return models
 
     def _pool_crops(self) -> dict:
         if self._pool_store is None:
@@ -445,97 +460,69 @@ class ExperimentRunner:
     # ---- stages --------------------------------------------------------
 
     def run_data(self) -> None:
-        if "data" in self._done:
-            return
-        config = self.config
-        all_configs = list(config.datasets) + [config.pool]
-        cfg_dict = config.to_dict()
-        signature = signature_of(
-            {"stage": "data", "configs": cfg_dict["datasets"] + [cfg_dict["pool"]]}
-        )
+        all_configs = list(self.config.datasets) + [self.config.pool]
         data_dir = os.path.join(self.out_dir, "data")
-        if self._stage_fresh("data", signature):
+
+        def build() -> dict:
             log.info("stage data: generating %d image sets", len(all_configs))
             self._map(lambda c: gen_biased_dataset(c, data_dir), all_configs)
             outputs = {}
             for c in all_configs:
-                outputs[f"csv:{c.name}"] = {
-                    "path": f"data/{c.name}.csv",
-                    "sha256": sha256_file(os.path.join(data_dir, f"{c.name}.csv")),
-                }
-                outputs[f"truth:{c.name}"] = {
-                    "path": f"data/{c.name}.truth.csv",
-                    "sha256": sha256_file(
-                        os.path.join(data_dir, f"{c.name}.truth.csv")
-                    ),
-                }
+                for label, rel in _data_files(c.name):
+                    outputs[f"{label}:{c.name}"] = {
+                        "path": f"data/{rel}",
+                        "sha256": sha256_file(os.path.join(data_dir, rel)),
+                    }
                 outputs[f"images:{c.name}"] = {
                     "tree": f"data/{c.name}",
                     "sha256": _tree_digest(os.path.join(data_dir, c.name)),
                 }
-            self.state.record("data", signature, outputs)
-        for c in all_configs:
-            manifest = rescale_mos(load_manifest(os.path.join(data_dir, f"{c.name}.csv")))
-            self.manifests[c.name] = manifest
-            self.truths[c.name] = load_ground_truth(
-                os.path.join(data_dir, f"{c.name}.truth.csv")
-            )
-        self._done.add("data")
+            return outputs
+
+        def load(_outputs: dict) -> None:
+            for c in all_configs:
+                self.manifests[c.name] = rescale_mos(
+                    load_manifest(os.path.join(data_dir, f"{c.name}.csv"))
+                )
+                self.truths[c.name] = load_ground_truth(
+                    os.path.join(data_dir, f"{c.name}.truth.csv")
+                )
+
+        payload = {"configs": [c.to_dict() for c in all_configs]}
+        self._stage("data", payload, build, load)
 
     def run_stage1(self) -> dict[str, ScorerParams]:
         self.run_data()
-        if "stage1" in self._done:
-            return {n: e["params"] for n, e in self.s1_models.items()}
         config = self.config
-        signature = signature_of(
-            {
-                "stage": "stage1",
-                "master_seed": config.master_seed,
-                "scorer": config.scorer.to_dict(),
-                "train": {k: v for k, v in config.stage1.to_dict().items() if k != "seed"},
-                "fraction": config.split_fraction,
-                "inputs": {n: self._dataset_digest(n) for n in config.dataset_names},
-            }
+        names = config.dataset_names
+
+        def unit(name: str) -> tuple[str, dict]:
+            log.info("stage1: training scorer on %s", name)
+            manifest = self.manifests[name]
+            split = split_dataset(
+                manifest,
+                derive_seed(config.master_seed, "split", name),
+                config.split_fraction,
+            )
+            tcfg = replace(
+                config.stage1, seed=derive_seed(config.master_seed, "train1", name)
+            )
+            params = train_single(manifest, split, config.scorer, tcfg)
+            return f"model:{name}", self._save_model(params, f"s1-{name}")
+
+        payload = {
+            "master_seed": config.master_seed,
+            "scorer": config.scorer.to_dict(),
+            "train": _unseeded(config.stage1),
+            "fraction": config.split_fraction,
+            "inputs": {n: self._dataset_digest(n) for n in names},
+        }
+        self.s1_models = self._stage(
+            "stage1",
+            payload,
+            lambda: dict(self._map(unit, names)),
+            lambda outputs: self._load_models(outputs, names),
         )
-        models_dir = os.path.join(self.out_dir, "models")
-        if self._stage_fresh("stage1", signature):
-
-            def unit(name: str) -> tuple[str, dict]:
-                log.info("stage1: training scorer on %s", name)
-                manifest = self.manifests[name]
-                split = split_dataset(
-                    manifest,
-                    derive_seed(config.master_seed, "split", name),
-                    config.split_fraction,
-                )
-                tcfg = replace(
-                    config.stage1, seed=derive_seed(config.master_seed, "train1", name)
-                )
-                params = train_single(manifest, split, config.scorer, tcfg)
-                blob = serialize_params(params)
-                digest = sha256_bytes(blob)
-                rel = f"models/s1-{name}-{digest[:12]}.bin"
-                save_params(params, os.path.join(self.out_dir, rel))
-                return name, {"params": params, "path": rel, "sha256": digest}
-
-            results = self._map(unit, config.dataset_names)
-            outputs = {}
-            for name, entry in results:
-                self.s1_models[name] = entry
-                outputs[f"model:{name}"] = {
-                    "path": entry["path"],
-                    "sha256": entry["sha256"],
-                }
-            self.state.record("stage1", signature, outputs)
-        else:
-            for name in config.dataset_names:
-                entry = self._verified("stage1", f"model:{name}")
-                self.s1_models[name] = {
-                    "params": load_params(os.path.join(self.out_dir, entry["path"])),
-                    "path": entry["path"],
-                    "sha256": entry["sha256"],
-                }
-        self._done.add("stage1")
         return {n: e["params"] for n, e in self.s1_models.items()}
 
     def _pair_units(self) -> list[tuple[str, int]]:
@@ -550,52 +537,36 @@ class ExperimentRunner:
 
     def run_stage2(self) -> dict[str, dict]:
         self.run_stage1()
-        if "stage2" in self._done:
-            return self.pair_entries
         config = self.config
+        names = config.dataset_names
         pairs_seed = derive_seed(config.master_seed, "pairs")
         units = self._pair_units()
-        signature = signature_of(
-            {
-                "stage": "stage2",
-                "models": {n: self.s1_models[n]["sha256"] for n in config.dataset_names},
-                "pool": self._dataset_digest(config.pool.name),
-                "units": [[t, n] for t, n in units],
-                "seed": pairs_seed,
-            }
-        )
-        if self._stage_fresh("stage2", signature):
-            log.info("stage2: scoring the pool with %d models", len(config.dataset_names))
+
+        def build() -> dict:
+            log.info("stage2: scoring the pool with %d models", len(names))
             pool_manifest = self.manifests[config.pool.name]
             image_ids = sorted(r.id for r in pool_manifest.records)
             snapshot = EnsembleSnapshot.from_params(
-                [self.s1_models[n]["params"] for n in config.dataset_names]
+                [self.s1_models[n]["params"] for n in names]
             )
             table = score_pool(snapshot, image_ids, self._pool_crops())
-            by_name = dict(zip(config.dataset_names, table))
-            prov_by_name = dict(zip(config.dataset_names, snapshot.provenance))
-            outputs = {}
-            tags = {tag for tag, _ in units}
+            by_name = dict(zip(names, table))
+            prov_by_name = dict(zip(names, snapshot.provenance))
             manifests_by_tag = {}
-            for tag in sorted(tags):
-                names = tag.split("+")
+            for tag in sorted({tag for tag, _ in units}):
+                members = tag.split("+")
                 manifests_by_tag[tag] = build_pair_manifest(
                     pool_manifest.name,
                     image_ids,
-                    [by_name[n] for n in names],
-                    [prov_by_name[n] for n in names],
+                    [by_name[n] for n in members],
+                    [prov_by_name[n] for n in members],
                     max(n for t, n in units if t == tag),
                     pairs_seed,
                 )
+            outputs = {}
             for tag, n in units:
                 full = manifests_by_tag[tag]
-                manifest = PairManifest(
-                    pool=full.pool,
-                    n_pairs=n,
-                    seed=full.seed,
-                    ensemble=full.ensemble,
-                    samples=full.samples[:n],
-                )
+                manifest = replace(full, n_pairs=n, samples=full.samples[:n])
                 tmp = os.path.join(self.out_dir, "pairs", f".tmp-{tag}-n{n}.csv")
                 save_pair_manifest(manifest, tmp)
                 digest = sha256_file(tmp)
@@ -611,14 +582,22 @@ class ExperimentRunner:
                     "path": rel + ".json",
                     "sha256": sha256_file(os.path.join(self.out_dir, rel + ".json")),
                 }
-                self.pair_entries[key] = {"path": rel + ".csv", "sha256": digest}
-            self.state.record("stage2", signature, outputs)
-        else:
-            for tag, n in units:
-                key = f"{tag}:n{n}"
-                entry = self._verified("stage2", f"pairs:{key}")
-                self.pair_entries[key] = dict(entry)
-        self._done.add("stage2")
+            return outputs
+
+        payload = {
+            "models": {n: self.s1_models[n]["sha256"] for n in names},
+            "pool": self._dataset_digest(config.pool.name),
+            "units": [[t, n] for t, n in units],
+            "seed": pairs_seed,
+        }
+        self.pair_entries = self._stage(
+            "stage2",
+            payload,
+            build,
+            lambda outputs: {
+                f"{t}:n{n}": dict(outputs[f"pairs:{t}:n{n}"]) for t, n in units
+            },
+        )
         return self.pair_entries
 
     def _load_pairs(self, key: str) -> PairManifest:
@@ -627,66 +606,60 @@ class ExperimentRunner:
 
     def run_stage3(self) -> dict[str, dict]:
         self.run_stage2()
-        if "stage3" in self._done:
-            return self.cdr_models
         config = self.config
         units = self._pair_units()
-        signature = signature_of(
-            {
-                "stage": "stage3",
-                "pairs": {f"{t}:n{n}": self.pair_entries[f"{t}:n{n}"]["sha256"] for t, n in units},
-                "pool": self._dataset_digest(config.pool.name),
-                "master_seed": config.master_seed,
-                "scorer": config.scorer.to_dict(),
-                "train": {k: v for k, v in config.stage3.to_dict().items() if k != "seed"},
+        keys = [f"{t}:n{n}" for t, n in units]
+
+        def unit(tag_n: tuple[str, int], store: dict) -> tuple[str, dict]:
+            tag, n = tag_n
+            key = f"{tag}:n{n}"
+            log.info("stage3: training pairwise scorer on %s", key)
+            tcfg = replace(
+                config.stage3,
+                seed=derive_seed(config.master_seed, "train3", tag, f"n{n}"),
+            )
+            params = train_pairwise(self._load_pairs(key), store, config.scorer, tcfg)
+            params.meta = {
+                "trained_on": config.pool.name,
+                "ensemble": tag,
+                "n_pairs": n,
             }
-        )
-        if self._stage_fresh("stage3", signature):
+            return f"model:{key}", self._save_model(params, f"cdr-{tag}-n{n}")
+
+        def build() -> dict:
             store = self._pool_crops()
+            return dict(self._map(lambda tag_n: unit(tag_n, store), units))
 
-            def unit(tag_n: tuple[str, int]) -> tuple[str, dict]:
-                tag, n = tag_n
-                key = f"{tag}:n{n}"
-                log.info("stage3: training pairwise scorer on %s", key)
-                manifest = self._load_pairs(key)
-                tcfg = replace(
-                    config.stage3,
-                    seed=derive_seed(config.master_seed, "train3", tag, f"n{n}"),
-                )
-                params = train_pairwise(manifest, store, config.scorer, tcfg)
-                params.meta = {
-                    "trained_on": config.pool.name,
-                    "ensemble": tag,
-                    "n_pairs": n,
-                }
-                blob = serialize_params(params)
-                digest = sha256_bytes(blob)
-                rel = f"models/cdr-{tag}-n{n}-{digest[:12]}.bin"
-                save_params(params, os.path.join(self.out_dir, rel))
-                return key, {"params": params, "path": rel, "sha256": digest}
-
-            results = self._map(unit, units)
-            outputs = {}
-            for key, entry in results:
-                self.cdr_models[key] = entry
-                outputs[f"model:{key}"] = {
-                    "path": entry["path"],
-                    "sha256": entry["sha256"],
-                }
-            self.state.record("stage3", signature, outputs)
-        else:
-            for tag, n in units:
-                key = f"{tag}:n{n}"
-                entry = self._verified("stage3", f"model:{key}")
-                self.cdr_models[key] = {
-                    "params": load_params(os.path.join(self.out_dir, entry["path"])),
-                    "path": entry["path"],
-                    "sha256": entry["sha256"],
-                }
-        self._done.add("stage3")
+        payload = {
+            "pairs": {k: self.pair_entries[k]["sha256"] for k in keys},
+            "pool": self._dataset_digest(config.pool.name),
+            "master_seed": config.master_seed,
+            "scorer": config.scorer.to_dict(),
+            "train": _unseeded(config.stage3),
+        }
+        self.cdr_models = self._stage(
+            "stage3", payload, build, lambda outputs: self._load_models(outputs, keys)
+        )
         return self.cdr_models
 
     # ---- evaluation ----------------------------------------------------
+
+    def _report(self, name: str, models: dict[str, str], build) -> dict:
+        """A report stage signed over its models and every dataset."""
+        datasets = {n: self._dataset_digest(n) for n in self.config.dataset_names}
+        return self._stage(
+            name,
+            {"models": models, "datasets": datasets},
+            build,
+            lambda outputs: _read_json(
+                os.path.join(self.out_dir, outputs["report"]["path"])
+            ),
+        )
+
+    def _write_report(self, filename: str, text: str) -> dict:
+        rel = f"reports/{filename}"
+        _write_atomic(os.path.join(self.out_dir, rel), text)
+        return {"path": rel, "sha256": sha256_bytes(text.encode("utf-8"))}
 
     def _reference_cdr_key(self) -> str:
         return f"{self.config.full_tag}:n{self.config.pair_ladder[-1]}"
@@ -738,70 +711,50 @@ class ExperimentRunner:
 
     def run_cross_eval(self) -> dict:
         self.run_stage3()
-        if "cross-eval" in self._reports:
-            return self._reports["cross-eval"]
         config = self.config
-        cdr_key = self._reference_cdr_key()
-        signature = signature_of(
-            {
-                "stage": "cross-eval",
-                "models": {n: self.s1_models[n]["sha256"] for n in config.dataset_names}
-                | {"cdr": self.cdr_models[cdr_key]["sha256"]},
-                "datasets": {n: self._dataset_digest(n) for n in config.dataset_names},
+        names = config.dataset_names
+        cdr_hash = self.cdr_models[self._reference_cdr_key()]["sha256"]
+
+        def build() -> dict:
+            log.info("cross-eval: scoring %d models on %d datasets",
+                     len(names) + 1, len(names))
+            rows = self._model_rows()
+            vs_qstar = cross_dataset_matrix(rows, self._qstar_manifests())
+            vs_labels = cross_dataset_matrix(rows, self._labeled_manifests())
+            qstar_all = {}
+            for name in names:
+                qstar_all.update(self.truths[name].qstar)
+            oracle = ScoredModel(
+                name="oracle",
+                trained_on="ground-truth",
+                score_fn=lambda records: np.array([qstar_all[r.id] for r in records]),
+            )
+            oracle_row = cross_dataset_matrix([oracle], self._qstar_manifests())[0]
+            model_hashes = {f"s1-{n}": self.s1_models[n]["sha256"] for n in names}
+            model_hashes["cdr"] = cdr_hash
+            report = {
+                "schema": SCHEMA_VERSION,
+                "inputs": {
+                    "models": model_hashes,
+                    "datasets": {n: self._dataset_digest(n) for n in names},
+                },
+                "vs_qstar": matrix_to_json(vs_qstar),
+                "vs_labels": matrix_to_json(vs_labels),
+                "oracle_vs_qstar": [cell.to_dict() for cell in oracle_row],
+                "aggregates": self._aggregates(vs_qstar),
             }
-        )
-        report_path = os.path.join(self.out_dir, "reports", "cross-eval.json")
-        if not self._stage_fresh("cross-eval", signature):
-            with open(report_path, encoding="utf-8") as fh:
-                report = json.load(fh)
-            self._reports["cross-eval"] = report
-            return report
-        log.info("cross-eval: scoring %d models on %d datasets",
-                 len(config.dataset_names) + 1, len(config.dataset_names))
-        rows = self._model_rows()
-        vs_qstar = cross_dataset_matrix(rows, self._qstar_manifests())
-        vs_labels = cross_dataset_matrix(rows, self._labeled_manifests())
-        qstar_all = {}
-        for name in config.dataset_names:
-            qstar_all.update(self.truths[name].qstar)
-        oracle = ScoredModel(
-            name="oracle",
-            trained_on="ground-truth",
-            score_fn=lambda records: np.array([qstar_all[r.id] for r in records]),
-        )
-        oracle_row = cross_dataset_matrix([oracle], self._qstar_manifests())[0]
-        aggregates = self._aggregates(vs_qstar)
-        model_hashes = {
-            f"s1-{n}": self.s1_models[n]["sha256"] for n in config.dataset_names
-        }
-        model_hashes["cdr"] = self.cdr_models[cdr_key]["sha256"]
-        report = {
-            "schema": SCHEMA_VERSION,
-            "inputs": {
-                "models": model_hashes,
-                "datasets": {n: self._dataset_digest(n) for n in config.dataset_names},
-            },
-            "vs_qstar": matrix_to_json(vs_qstar),
-            "vs_labels": matrix_to_json(vs_labels),
-            "oracle_vs_qstar": [cell.to_dict() for cell in oracle_row],
-            "aggregates": aggregates,
-        }
-        csv_qstar = os.path.join(self.out_dir, "reports", "cross-eval-qstar.csv")
-        csv_labels = os.path.join(self.out_dir, "reports", "cross-eval-labels.csv")
-        with open(csv_qstar, "w", encoding="utf-8") as fh:
-            fh.write(render_matrix_csv(vs_qstar))
-        with open(csv_labels, "w", encoding="utf-8") as fh:
-            fh.write(render_matrix_csv(vs_labels))
-        with open(report_path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(report, sort_keys=True, indent=1) + "\n")
-        outputs = {
-            "report": {"path": "reports/cross-eval.json", "sha256": sha256_file(report_path)},
-            "csv-qstar": {"path": "reports/cross-eval-qstar.csv", "sha256": sha256_file(csv_qstar)},
-            "csv-labels": {"path": "reports/cross-eval-labels.csv", "sha256": sha256_file(csv_labels)},
-        }
-        self.state.record("cross-eval", signature, outputs)
-        self._reports["cross-eval"] = report
-        return report
+            return {
+                "report": self._write_report("cross-eval.json", _json_text(report)),
+                "csv-qstar": self._write_report(
+                    "cross-eval-qstar.csv", render_matrix_csv(vs_qstar)
+                ),
+                "csv-labels": self._write_report(
+                    "cross-eval-labels.csv", render_matrix_csv(vs_labels)
+                ),
+            }
+
+        models = {n: self.s1_models[n]["sha256"] for n in names} | {"cdr": cdr_hash}
+        return self._report("cross-eval", models, build)
 
     def _aggregates(self, vs_qstar: list[list[EvalReport]]) -> dict:
         names = self.config.dataset_names
@@ -823,82 +776,45 @@ class ExperimentRunner:
 
     def run_ablation_paircount(self) -> dict:
         self.run_stage3()
-        if "ablate-pairs" in self._reports:
-            return self._reports["ablate-pairs"]
         config = self.config
         keys = [f"{config.full_tag}:n{n}" for n in config.pair_ladder]
-        signature = signature_of(
-            {
-                "stage": "ablate-pairs",
-                "models": {k: self.cdr_models[k]["sha256"] for k in keys},
-                "datasets": {n: self._dataset_digest(n) for n in config.dataset_names},
+
+        def build() -> dict:
+            rungs = [
+                {"n_pairs": n, "model": self.cdr_models[key]["sha256"]}
+                | self._mean_srcc(self.cdr_models[key]["params"])
+                for n, key in zip(config.pair_ladder, keys)
+            ]
+            report = {
+                "schema": SCHEMA_VERSION,
+                "ensemble": config.full_tag,
+                "rungs": rungs,
             }
-        )
-        path = os.path.join(self.out_dir, "reports", "ablation-pairs.json")
-        if not self._stage_fresh("ablate-pairs", signature):
-            with open(path, encoding="utf-8") as fh:
-                report = json.load(fh)
-            self._reports["ablate-pairs"] = report
-            return report
-        rungs = []
-        for n, key in zip(config.pair_ladder, keys):
-            entry = self.cdr_models[key]
-            rungs.append(
-                {"n_pairs": n, "model": entry["sha256"]}
-                | self._mean_srcc(entry["params"])
-            )
-        report = {
-            "schema": SCHEMA_VERSION,
-            "ensemble": config.full_tag,
-            "rungs": rungs,
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(report, sort_keys=True, indent=1) + "\n")
-        self.state.record(
-            "ablate-pairs",
-            signature,
-            {"report": {"path": "reports/ablation-pairs.json", "sha256": sha256_file(path)}},
-        )
-        self._reports["ablate-pairs"] = report
-        return report
+            return {"report": self._write_report("ablation-pairs.json", _json_text(report))}
+
+        models = {k: self.cdr_models[k]["sha256"] for k in keys}
+        return self._report("ablate-pairs", models, build)
 
     def run_ablation_ensemble(self) -> dict:
         self.run_stage3()
-        if "ablate-ensemble" in self._reports:
-            return self._reports["ablate-ensemble"]
         config = self.config
         n_max = config.pair_ladder[-1]
         tags = [subset_tag(s) for s in config.ensemble_subsets]
-        signature = signature_of(
-            {
-                "stage": "ablate-ensemble",
-                "models": {t: self.cdr_models[f"{t}:n{n_max}"]["sha256"] for t in tags},
-                "datasets": {n: self._dataset_digest(n) for n in config.dataset_names},
+
+        def build() -> dict:
+            subsets = [
+                {"subset": list(subset), "tag": tag,
+                 "model": self.cdr_models[f"{tag}:n{n_max}"]["sha256"]}
+                | self._mean_srcc(self.cdr_models[f"{tag}:n{n_max}"]["params"])
+                for subset, tag in zip(config.ensemble_subsets, tags)
+            ]
+            report = {"schema": SCHEMA_VERSION, "n_pairs": n_max, "subsets": subsets}
+            return {
+                "report": self._write_report("ablation-ensemble.json", _json_text(report))
             }
-        )
-        path = os.path.join(self.out_dir, "reports", "ablation-ensemble.json")
-        if not self._stage_fresh("ablate-ensemble", signature):
-            with open(path, encoding="utf-8") as fh:
-                report = json.load(fh)
-            self._reports["ablate-ensemble"] = report
-            return report
-        subsets = []
-        for subset, tag in zip(config.ensemble_subsets, tags):
-            entry = self.cdr_models[f"{tag}:n{n_max}"]
-            subsets.append(
-                {"subset": list(subset), "tag": tag, "model": entry["sha256"]}
-                | self._mean_srcc(entry["params"])
-            )
-        report = {"schema": SCHEMA_VERSION, "n_pairs": n_max, "subsets": subsets}
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(report, sort_keys=True, indent=1) + "\n")
-        self.state.record(
-            "ablate-ensemble",
-            signature,
-            {"report": {"path": "reports/ablation-ensemble.json", "sha256": sha256_file(path)}},
-        )
-        self._reports["ablate-ensemble"] = report
-        return report
+
+        models = {t: self.cdr_models[f"{t}:n{n_max}"]["sha256"] for t in tags}
+        return self._report("ablate-ensemble", models, build)
 
     def run_all(self) -> dict:
         cross = self.run_cross_eval()
@@ -925,7 +841,6 @@ class ExperimentRunner:
             "ablation_ensemble": ensemble_table,
         }
         path = os.path.join(self.out_dir, "summary.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(summary, sort_keys=True, indent=1) + "\n")
+        _write_atomic(path, _json_text(summary))
         log.info("experiment complete: %s", path)
         return summary

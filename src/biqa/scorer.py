@@ -6,9 +6,9 @@ regression head (hidden ReLU units, then a single linear output). All
 parameters live in one flat float64 vector described by a layout table,
 which keeps the optimizer and the serialization format trivial.
 
-forward() caches everything backward() needs, and backward() returns the
-exact gradient of (upstream * score) with respect to every parameter.
-Everything runs in 64-bit and is deterministic.
+forward_batch() caches everything backward() needs, and backward()
+returns the exact gradient of (upstream * score) with respect to every
+parameter. Everything runs in 64-bit and is deterministic.
 """
 
 from __future__ import annotations
@@ -275,12 +275,6 @@ def forward_batch(
         scores=scores,
     )
     return scores, trace
-
-
-def forward(params: ScorerParams, patch: np.ndarray) -> tuple[float, ForwardTrace]:
-    """Score one (S, S, C) patch."""
-    scores, trace = forward_batch(params, np.asarray(patch)[None])
-    return float(scores[0]), trace
 
 
 def backward(

@@ -86,6 +86,27 @@ class BiasedDatasetConfig:
         if self.n_images < 2:
             raise SynthError(f"{self.name}: need at least 2 images")
 
+    def to_dict(self) -> dict:
+        return {
+            "name": self.name,
+            "n_images": self.n_images,
+            "allowed_kinds": list(self.allowed_kinds),
+            "label_remap": self.label_remap,
+            "seed": self.seed,
+            "image_size": self.image_size,
+        }
+
+    @staticmethod
+    def from_dict(d: dict) -> "BiasedDatasetConfig":
+        return BiasedDatasetConfig(
+            name=str(d["name"]),
+            n_images=int(d["n_images"]),
+            allowed_kinds=tuple(d["allowed_kinds"]),
+            label_remap=str(d["label_remap"]),
+            seed=int(d["seed"]),
+            image_size=int(d.get("image_size", 48)),
+        )
+
 
 @dataclass
 class GroundTruth:

@@ -144,11 +144,6 @@ def stable_sigmoid(d):
     return out if out.ndim else float(out)
 
 
-def model_pair_probability(score_x: float, score_y: float) -> float:
-    """Probability that X outranks Y: sigmoid of the score difference."""
-    return float(stable_sigmoid(np.float64(score_x) - np.float64(score_y)))
-
-
 def lr_at(global_step: int, steps_per_epoch: int, config: TrainConfig) -> float:
     """Linear warmup to base_lr, then cosine decay to min_lr.
 

@@ -260,3 +260,63 @@ def test_different_master_seed_changes_models(tiny_run, tmp_path):
     theirs = {f for f in os.listdir(os.path.join(other, "models"))}
     # content-addressed names: a different seed must change every digest
     assert ours.isdisjoint(theirs)
+
+
+class _Interrupted(Exception):
+    pass
+
+
+def _resume_matches_clean_run(clean: str, work: str) -> None:
+    ExperimentRunner(_tiny_config(), work, threads=1).run_all()
+    tree = _tree_hashes(work)
+    assert not [p for p in tree if p.endswith(".tmp")]
+    assert tree == _tree_hashes(clean)
+
+
+@pytest.mark.parametrize(
+    "stage",
+    ["data", "stage1", "stage2", "stage3", "cross-eval", "ablate-pairs", "ablate-ensemble"],
+)
+def test_run_interrupted_before_a_stage_is_recorded_resumes_to_same_bytes(
+    tiny_run, tmp_path, monkeypatch, stage
+):
+    out, _ = tiny_run
+    work = str(tmp_path / "work")
+    record = ExperimentState.record
+
+    def interrupt(self, name, signature, outputs):
+        if name == stage:
+            raise _Interrupted(name)
+        record(self, name, signature, outputs)
+
+    monkeypatch.setattr(ExperimentState, "record", interrupt)
+    with pytest.raises(_Interrupted):
+        ExperimentRunner(_tiny_config(), work, threads=1).run_all()
+    monkeypatch.undo()
+    assert ExperimentState.load(work).stage(stage) is None
+    _resume_matches_clean_run(out, work)
+
+
+@pytest.mark.parametrize(
+    "target", ["state.json", "reports/cross-eval.json", "summary.json"]
+)
+def test_write_interrupted_after_its_temp_file_resumes_to_same_bytes(
+    tiny_run, tmp_path, monkeypatch, target
+):
+    out, _ = tiny_run
+    work = str(tmp_path / "work")
+    dest = os.path.join(work, target)
+    real_replace = os.replace
+
+    def crash_on_target(src, dst):
+        if dst == dest:
+            assert os.path.exists(src)
+            raise _Interrupted(dst)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", crash_on_target)
+    with pytest.raises(_Interrupted):
+        ExperimentRunner(_tiny_config(), work, threads=1).run_all()
+    monkeypatch.undo()
+    assert os.path.exists(dest + ".tmp") and not os.path.exists(dest)
+    _resume_matches_clean_run(out, work)

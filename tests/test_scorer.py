@@ -9,7 +9,6 @@ from biqa.scorer import (
     ScorerError,
     ScorerParams,
     backward,
-    forward,
     forward_batch,
     init_params,
     layout_for,
@@ -97,9 +96,7 @@ def test_forward_shapes_and_batch_consistency():
     assert scores.shape == (6,)
     assert trace.batch == 6
     # a singleton batch takes the identical code path
-    s0, _ = forward(params, batch[0])
-    one, _ = forward_batch(params, batch[:1])
-    assert s0 == one[0]
+    (s0,), _ = forward_batch(params, batch[0][None])
     # inside a larger batch the BLAS reduction order may differ by an ulp or so
     assert s0 == pytest.approx(scores[0], rel=1e-12)
 
@@ -115,8 +112,8 @@ def test_forward_translation_of_constant_input():
     # no boundary effects), so the score equals the single-pixel path
     cfg = _cfg()
     params = init_params(cfg, seed=9)
-    a, _ = forward(params, np.full((8, 8, 1), 0.25))
-    b, _ = forward(params, np.full((8, 8, 1), 0.25))
+    (a,), _ = forward_batch(params, np.full((8, 8, 1), 0.25)[None])
+    (b,), _ = forward_batch(params, np.full((8, 8, 1), 0.25)[None])
     assert a == b
     assert np.isfinite(a)
 

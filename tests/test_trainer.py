@@ -19,7 +19,6 @@ from biqa.trainer import (
     fidelity_loss,
     l1_loss,
     lr_at,
-    model_pair_probability,
     pairwise_loss,
     stable_sigmoid,
     train_pairwise,
@@ -122,13 +121,6 @@ def test_stable_sigmoid_extremes_and_symmetry():
     s = stable_sigmoid(d)
     assert np.all((s > 0) & (s < 1))
     assert np.allclose(s + stable_sigmoid(-d), 1.0, atol=1e-15)
-
-
-def test_model_pair_probability_antisymmetric():
-    p = model_pair_probability(1.3, 0.2)
-    q = model_pair_probability(0.2, 1.3)
-    assert p + q == pytest.approx(1.0, abs=1e-15)
-    assert p > 0.5
 
 
 def test_lr_schedule_endpoints():
