@@ -15,10 +15,9 @@ import logging
 import os
 import sys
 
-import numpy as np
-
 from .dataset import DatasetError, load_manifest, rescale_mos, split_dataset
-from .harness import ExperimentRunner, HarnessError, load_config, reference_config
+from .harness import ExperimentRunner, HarnessError, crop_scorer, load_config, \
+    reference_config
 from .metrics import MetricError, ScoredModel, cross_dataset_matrix, evaluate, \
     matrix_to_json, render_matrix_csv, repeated_split_eval, srcc
 from .pseudolabel import (
@@ -72,35 +71,26 @@ def _read_json(path: str) -> dict:
 
 def _scorer_config(path: str | None) -> ScorerConfig:
     if path is None:
-        return ScorerConfig(patch_size=32, channels_in=1, conv_channels=(8, 16, 32))
+        return reference_config().scorer
     return ScorerConfig.from_dict(_read_json(path))
 
 
 def _train_config(path: str | None, default: TrainConfig, seed: int | None) -> TrainConfig:
     cfg = default if path is None else TrainConfig.from_dict(_read_json(path))
-    if seed is not None:
-        cfg = TrainConfig.from_dict(cfg.to_dict() | {"seed": seed})
-    return cfg
+    return cfg if seed is None else dataclasses.replace(cfg, seed=seed)
 
 
-_STAGE1_DEFAULT = TrainConfig(epochs=30, base_lr=1e-3, patches_per_image=10)
-_STAGE3_DEFAULT = TrainConfig(epochs=10, base_lr=1e-3, patches_per_image=1)
-
-
-def _experiment_config(spec: str, seed: int | None):
-    cfg = reference_config() if spec == "reference" else load_config(spec)
-    if seed is not None:
-        cfg = cfg.with_master_seed(seed)
-    return cfg
+def _runner(args) -> ExperimentRunner:
+    cfg = reference_config() if args.config == "reference" else load_config(args.config)
+    if args.seed is not None:
+        cfg = cfg.with_master_seed(args.seed)
+    return ExperimentRunner(cfg, args.out, threads=args.threads, force=args.force)
 
 
 def _scores_for(params, manifest) -> dict[str, float]:
-    from .harness import _batched_scores
-
     crops = central_crop_store(manifest.records, params.config.patch_size)
-    ids = [r.id for r in manifest.records]
-    values = _batched_scores(params, np.stack([crops[i] for i in ids]))
-    return dict(zip(ids, (float(v) for v in values)))
+    values = crop_scorer(params, crops)(manifest.records)
+    return {r.id: float(v) for r, v in zip(manifest.records, values)}
 
 
 # ---- command handlers ----------------------------------------------------
@@ -123,7 +113,7 @@ def _cmd_synth_gen(args) -> dict:
 def _cmd_train_single(args) -> dict:
     manifest = rescale_mos(load_manifest(args.dataset))
     scorer_cfg = _scorer_config(args.scorer_config)
-    train_cfg = _train_config(args.train_config, _STAGE1_DEFAULT, args.seed)
+    train_cfg = _train_config(args.train_config, reference_config().stage1, args.seed)
     split = split_dataset(manifest, derive_seed(train_cfg.seed, "split"))
     params = train_single(manifest, split, scorer_cfg, train_cfg)
     save_params(params, args.out)
@@ -145,8 +135,9 @@ def _cmd_train_single(args) -> dict:
 def _cmd_gen_pairs(args) -> dict:
     snapshot = EnsembleSnapshot.from_files(args.models)
     pool = load_manifest(args.pool)
+    seed = args.seed if args.seed is not None else 0
     manifest = generate_pair_manifest(
-        snapshot, pool, args.n_pairs, args.seed, keep_per_model=args.keep_per_model
+        snapshot, pool, args.n_pairs, seed, keep_per_model=args.keep_per_model
     )
     save_pair_manifest(manifest, args.out)
     log.info("wrote %d pairs to %s", manifest.n_pairs, args.out)
@@ -162,7 +153,7 @@ def _cmd_train_cdr(args) -> dict:
     pair_manifest = load_pair_manifest(args.pairs)
     images = load_manifest(args.images)
     scorer_cfg = _scorer_config(args.scorer_config)
-    train_cfg = _train_config(args.train_config, _STAGE3_DEFAULT, args.seed)
+    train_cfg = _train_config(args.train_config, reference_config().stage3, args.seed)
     store = central_crop_store(images.records, scorer_cfg.patch_size)
     params = train_pairwise(pair_manifest, store, scorer_cfg, train_cfg)
     params.meta = {"trained_on": images.name, "n_pairs": pair_manifest.n_pairs}
@@ -184,7 +175,7 @@ def _cmd_eval(args) -> dict:
     if args.splits:
         report = repeated_split_eval(
             manifest,
-            lambda *_: scores,
+            scores,
             k=args.splits,
             base_seed=args.seed if args.seed is not None else 0,
             model_name=name,
@@ -215,16 +206,12 @@ def _cmd_cross_eval(args) -> dict:
     crops = {}
     for m in manifests:
         crops.update(central_crop_store(m.records, patch))
-    from .harness import _batched_scores
 
     def row(path, params):
-        def fn(records):
-            return _batched_scores(params, np.stack([crops[r.id] for r in records]))
-
         return ScoredModel(
             name=os.path.splitext(os.path.basename(path))[0],
             trained_on=str(params.meta.get("trained_on", "unknown")),
-            score_fn=fn,
+            score_fn=crop_scorer(params, crops),
         )
 
     matrix = cross_dataset_matrix([row(p, m) for p, m in loaded], manifests)
@@ -238,17 +225,14 @@ def _cmd_cross_eval(args) -> dict:
 
 
 def _cmd_ablate(args) -> dict:
-    config = _experiment_config(args.config, args.seed)
-    runner = ExperimentRunner(config, args.out, threads=args.threads, force=args.force)
+    runner = _runner(args)
     if args.axis == "pairs":
         return runner.run_ablation_paircount()
     return runner.run_ablation_ensemble()
 
 
 def _cmd_run_experiment(args) -> dict:
-    config = _experiment_config(args.config, args.seed)
-    runner = ExperimentRunner(config, args.out, threads=args.threads, force=args.force)
-    summary = runner.run_all()
+    summary = _runner(args).run_all()
     log.info("summary written to %s", os.path.join(args.out, "summary.json"))
     return summary
 
@@ -260,9 +244,17 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="biqa", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(p: _Parser, seed_help: str) -> None:
-        p.add_argument("--seed", type=int, default=None, help=seed_help)
+    def common(p: _Parser, seed_help: str | None) -> None:
+        if seed_help is not None:
+            p.add_argument("--seed", type=int, default=None, help=seed_help)
         p.add_argument("--json", action="store_true", help="JSON result on stdout")
+
+    def experiment(p: _Parser) -> None:
+        p.add_argument("--config", required=True, help='config JSON or "reference"')
+        p.add_argument("--out", required=True, help="experiment directory")
+        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--force", action="store_true")
+        common(p, "override the experiment master seed")
 
     p = sub.add_parser("synth-gen", help="generate one synthetic dataset")
     p.add_argument("--config", required=True, help="dataset config JSON")
@@ -309,24 +301,16 @@ def build_parser() -> _Parser:
     p.add_argument("--models", nargs="+", required=True)
     p.add_argument("--datasets", nargs="+", required=True)
     p.add_argument("--out-csv", default=None)
-    common(p, "unused; accepted for flag uniformity")
+    common(p, None)
     p.set_defaults(func=_cmd_cross_eval)
 
     p = sub.add_parser("ablate", help="run one ablation axis")
     p.add_argument("axis", choices=("pairs", "ensemble"))
-    p.add_argument("--config", required=True, help='config JSON or "reference"')
-    p.add_argument("--out", required=True, help="experiment directory")
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--force", action="store_true")
-    common(p, "override the experiment master seed")
+    experiment(p)
     p.set_defaults(func=_cmd_ablate)
 
     p = sub.add_parser("run-experiment", help="full pipeline plus reports")
-    p.add_argument("--config", required=True, help='config JSON or "reference"')
-    p.add_argument("--out", required=True, help="experiment directory")
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--force", action="store_true")
-    common(p, "override the experiment master seed")
+    experiment(p)
     p.set_defaults(func=_cmd_run_experiment)
 
     return parser

@@ -63,15 +63,6 @@ class Split:
     fraction: float
 
 
-@dataclass(frozen=True)
-class Patch:
-    """Square crop, values in [0, 1], shape (S, S, C)."""
-
-    pixels: np.ndarray
-    source_id: str
-    flipped: bool = False
-
-
 def _as_record_pixels(arr: np.ndarray) -> np.ndarray:
     if arr.ndim == 2:
         arr = arr[:, :, None]
@@ -172,8 +163,9 @@ def sample_patches(
     size: int,
     allow_flip: bool,
     rng: SplitMix64,
-) -> list[Patch]:
-    """n random square crops, each independently mirrored with p=0.5.
+) -> np.ndarray:
+    """n random square crops, each independently mirrored with p=0.5,
+    as an (n, size, size, C) array.
 
     Per patch the stream is consumed in the order: top row, left column,
     then (when allow_flip) one uniform compared against 0.5.
@@ -183,18 +175,14 @@ def sample_patches(
             f"record {record.id!r} is {record.width}x{record.height}, "
             f"smaller than patch size {size}"
         )
-    patches = []
-    for _ in range(n):
+    patches = np.empty((n, size, size, record.channels), dtype=record.pixels.dtype)
+    for k in range(n):
         top = rng.randbelow(record.height - size + 1)
         left = rng.randbelow(record.width - size + 1)
         window = record.pixels[top : top + size, left : left + size, :]
-        flipped = allow_flip and rng.uniform() < 0.5
-        if flipped:
+        if allow_flip and rng.uniform() < 0.5:
             window = window[:, ::-1, :]
-        patches.append(
-            Patch(pixels=np.ascontiguousarray(window), source_id=record.id,
-                  flipped=flipped)
-        )
+        patches[k] = window
     return patches
 
 
@@ -228,8 +216,9 @@ def bilinear_resize(pixels: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 def resize_short_side_and_center_crop(
     record: ImageRecord, short_side: int, crop: int
-) -> Patch:
-    """Resize so min(W, H) == short_side (aspect kept), then center-crop.
+) -> np.ndarray:
+    """Resize so min(W, H) == short_side (aspect kept), then center-crop
+    to a (crop, crop, C) array.
 
     The long side is rounded to the nearest integer (half up). For odd
     crop margins the extra row/column is taken from the bottom/right.
@@ -247,8 +236,7 @@ def resize_short_side_and_center_crop(
     resized = bilinear_resize(record.pixels, out_h, out_w)
     top = (out_h - crop) // 2
     left = (out_w - crop) // 2
-    window = resized[top : top + crop, left : left + crop, :]
-    return Patch(pixels=np.ascontiguousarray(window), source_id=record.id)
+    return np.ascontiguousarray(resized[top : top + crop, left : left + crop, :])
 
 
 def write_manifest_csv(

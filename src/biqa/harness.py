@@ -337,12 +337,18 @@ def _unseeded(train: TrainConfig) -> dict:
     return {k: v for k, v in train.to_dict().items() if k != "seed"}
 
 
-def _batched_scores(params: ScorerParams, crops: np.ndarray) -> np.ndarray:
-    out = np.empty(len(crops))
-    for lo in range(0, len(crops), _EVAL_BATCH):
-        chunk = crops[lo : lo + _EVAL_BATCH]
-        out[lo : lo + len(chunk)], _ = forward_batch(params, chunk)
-    return out
+def crop_scorer(params: ScorerParams, crops: dict[str, np.ndarray]):
+    """fn(records) -> one score per record, from its fixed crop in crops,
+    in record order and in batches of 256."""
+
+    def fn(records) -> np.ndarray:
+        out = np.empty(len(records))
+        for lo in range(0, len(records), _EVAL_BATCH):
+            chunk = np.stack([crops[r.id] for r in records[lo : lo + _EVAL_BATCH]])
+            out[lo : lo + len(chunk)], _ = forward_batch(params, chunk)
+        return out
+
+    return fn
 
 
 class ExperimentRunner:
@@ -450,12 +456,7 @@ class ExperimentRunner:
         return self._eval_crops
 
     def _score_fn(self, params: ScorerParams):
-        crops = self._eval_crop_store()
-
-        def fn(records):
-            return _batched_scores(params, np.stack([crops[r.id] for r in records]))
-
-        return fn
+        return crop_scorer(params, self._eval_crop_store())
 
     # ---- stages --------------------------------------------------------
 

@@ -235,7 +235,7 @@ def evaluate(
 
 def repeated_split_eval(
     manifest: DatasetManifest,
-    train_fn: Callable,
+    scores: dict[str, float],
     k: int = 10,
     base_seed: int = 0,
     fraction: float = 0.8,
@@ -243,8 +243,8 @@ def repeated_split_eval(
 ) -> EvalReport:
     """k random train/test splits; median of each metric independently.
 
-    train_fn(manifest, split, seed) must return a mapping from image id
-    to predicted score covering at least the split's test ids.
+    scores maps image id to predicted score and must cover every id that
+    lands in a test split.
     """
     if k < 1:
         raise MetricError("repeated_split_eval: k must be >= 1")
@@ -252,7 +252,6 @@ def repeated_split_eval(
     for i in range(k):
         seed = derive_seed(base_seed, "split", i)
         split = split_dataset(manifest, seed, fraction)
-        scores = train_fn(manifest, split, seed)
         preds = [scores[image_id] for image_id in split.test_ids]
         mos = [manifest.labels[image_id] for image_id in split.test_ids]
         reports.append(

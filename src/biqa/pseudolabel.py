@@ -127,17 +127,12 @@ def ensemble_pseudolabel(per_model_probs) -> float:
     return math.fsum(probs) / len(probs)
 
 
-def central_crop_store(
-    records: list[ImageRecord], crop: int, short_side: int | None = None
-) -> dict[str, np.ndarray]:
-    """Fixed evaluation crop per image: optional short-side resize, then
-    center crop. short_side=None keeps the native resolution."""
-    store = {}
-    for rec in records:
-        side = short_side or min(rec.height, rec.width)
-        patch = resize_short_side_and_center_crop(rec, side, crop)
-        store[rec.id] = patch.pixels
-    return store
+def central_crop_store(records: list[ImageRecord], crop: int) -> dict[str, np.ndarray]:
+    """Fixed evaluation crop per image: the center crop at native resolution."""
+    return {
+        rec.id: resize_short_side_and_center_crop(rec, min(rec.height, rec.width), crop)
+        for rec in records
+    }
 
 
 def score_pool(
@@ -240,11 +235,10 @@ def generate_pair_manifest(
     n_pairs: int,
     seed: int,
     keep_per_model: bool = False,
-    short_side: int | None = None,
 ) -> PairManifest:
     """Stage 2 end to end: score the pool, sample pairs, label them."""
     image_ids = sorted(r.id for r in pool.records)
-    store = central_crop_store(pool.records, snapshot.patch_size, short_side)
+    store = central_crop_store(pool.records, snapshot.patch_size)
     table = score_pool(snapshot, image_ids, store)
     return build_pair_manifest(
         pool.name, image_ids, table, snapshot.provenance, n_pairs, seed, keep_per_model

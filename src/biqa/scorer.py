@@ -147,9 +147,6 @@ class ForwardTrace:
     scores: np.ndarray
 
 
-_GEOM_CACHE: dict[tuple, list[dict]] = {}
-
-
 def _reflect(i: int, n: int) -> int:
     if i < 0:
         return -i
@@ -158,6 +155,7 @@ def _reflect(i: int, n: int) -> int:
     return i
 
 
+@functools.lru_cache(maxsize=64)
 def _conv_geometry(config: ScorerConfig) -> list[dict]:
     """Per-layer gather indices for reflect-padded same stride-2 3x3 conv.
 
@@ -169,9 +167,6 @@ def _conv_geometry(config: ScorerConfig) -> list[dict]:
     one image's flat (pixel, channel) values, in (position, tap, channel)
     order, which is the im2col row layout.
     """
-    key = (config.patch_size, config.channels_in, config.conv_channels)
-    if key in _GEOM_CACHE:
-        return _GEOM_CACHE[key]
     layers = []
     size = config.patch_size
     cin = config.channels_in
@@ -198,7 +193,6 @@ def _conv_geometry(config: ScorerConfig) -> list[dict]:
         )
         size = out
         cin = cout
-    _GEOM_CACHE[key] = layers
     return layers
 
 
@@ -339,8 +333,7 @@ def predict_image(
     """Mean score over n random crops of the image (no flips at test time)."""
     size = params.config.patch_size if size is None else size
     patches = sample_patches(record, n_patches, size, allow_flip=False, rng=rng)
-    batch = np.stack([p.pixels for p in patches])
-    scores, _ = forward_batch(params, batch)
+    scores, _ = forward_batch(params, patches)
     return float(scores.mean())
 
 

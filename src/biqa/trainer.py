@@ -229,22 +229,27 @@ def train_single(
         t0 = time.perf_counter()
         order = list(split.train_ids)
         data_rng.shuffle(order)
-        patches, labels = [], []
-        for image_id in order:
-            crops = sample_patches(
-                by_id[image_id],
-                train_config.patches_per_image,
-                scorer_config.patch_size,
-                allow_flip=True,
-                rng=data_rng,
-            )
-            patches.extend(c.pixels for c in crops)
-            labels.extend([manifest.rescaled[image_id]] * len(crops))
+        patches = np.concatenate(
+            [
+                sample_patches(
+                    by_id[image_id],
+                    train_config.patches_per_image,
+                    scorer_config.patch_size,
+                    allow_flip=True,
+                    rng=data_rng,
+                )
+                for image_id in order
+            ]
+        )
+        labels = np.repeat(
+            [manifest.rescaled[image_id] for image_id in order],
+            train_config.patches_per_image,
+        )
         epoch_lr = lr_at(step, steps_per_epoch, train_config)
         abs_dev_total = 0.0
         for batch_idx in range(0, len(patches), train_config.batch_size):
-            xb = np.stack(patches[batch_idx : batch_idx + train_config.batch_size])
-            yb = np.array(labels[batch_idx : batch_idx + train_config.batch_size])
+            xb = patches[batch_idx : batch_idx + train_config.batch_size]
+            yb = labels[batch_idx : batch_idx + train_config.batch_size]
             preds, trace = forward_batch(params, xb)
             loss, dloss = l1_loss(preds, yb)
             grads = backward(trace, params, dloss)
@@ -267,23 +272,6 @@ def train_single(
         )
     params.meta = dict(params.meta, trained_on=manifest.name)
     return params
-
-
-def pairwise_loss(
-    params: ScorerParams, pair_manifest, image_store: dict[str, np.ndarray]
-) -> float:
-    """Fidelity loss of a parameter snapshot over a whole pair manifest."""
-    total = 0.0
-    pairs = pair_manifest.samples
-    for lo in range(0, len(pairs), 256):
-        chunk = pairs[lo : lo + 256]
-        sx, _ = forward_batch(params, np.stack([image_store[s.x_id] for s in chunk]))
-        sy, _ = forward_batch(params, np.stack([image_store[s.y_id] for s in chunk]))
-        loss, _ = fidelity_loss(
-            np.array([s.p_r for s in chunk]), stable_sigmoid(sx - sy)
-        )
-        total += loss * len(chunk)
-    return total / len(pairs)
 
 
 def train_pairwise(

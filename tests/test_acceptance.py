@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from biqa.dataset import load_manifest, rescale_mos, split_dataset
-from biqa.harness import ExperimentRunner, _batched_scores, reference_config
+from biqa.harness import ExperimentRunner, crop_scorer, reference_config
 from biqa.metrics import (
     LogisticParams,
     fit_logistic,
@@ -360,6 +360,6 @@ def test_stage1_scorers_fit_their_own_split(reference_run):
         params = load_params(os.path.join(out, entry["path"]))
         store = central_crop_store(manifest.records, config.scorer.patch_size)
         ids = sorted(split.test_ids)
-        scores = _batched_scores(params, np.stack([store[i] for i in ids]))
+        scores = crop_scorer(params, store)([manifest.by_id[i] for i in ids])
         value = srcc(scores, [manifest.rescaled[i] for i in ids])
         assert value >= 0.7, f"{dcfg.name}: test-split SRCC {value:.4f}"

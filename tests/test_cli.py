@@ -71,11 +71,24 @@ def cli_env(tmp_path_factory):
     return env
 
 
+def test_gen_pairs_seed_defaults_to_zero(cli_env, tmp_path):
+    def pairs(*seed):
+        out = str(tmp_path / f"p{len(seed)}.csv")
+        assert dispatch(["gen-pairs", "--models", cli_env["alpha_model"],
+                         "--pool", cli_env["alpha"], "--n-pairs", "10",
+                         "--out", out, *seed]) == 0
+        return open(out, "rb").read()
+
+    assert pairs() == pairs("--seed", "0")
+
+
 def test_usage_errors(capsys):
     assert dispatch(["no-such-command"]) == 1
     assert "usage error" in capsys.readouterr().err
     assert dispatch(["eval", "--model", "m.bin"]) == 1  # missing --dataset
     assert dispatch(["ablate", "sideways", "--config", "x", "--out", "y"]) == 1
+    assert dispatch(["cross-eval", "--models", "m.bin", "--datasets", "d.csv",
+                     "--seed", "1"]) == 1
 
 
 def test_synth_gen_json_stdout(cli_env, tmp_path, capsys):

@@ -119,30 +119,27 @@ def test_split_rejects_degenerate():
 def test_sample_patches_within_bounds_and_deterministic():
     rec = _record(h=20, w=20)
     pats = sample_patches(rec, 8, 9, allow_flip=True, rng=SplitMix64(4))
-    assert len(pats) == 8
-    for p in pats:
-        assert p.pixels.shape == (9, 9, 1)
-        assert p.source_id == rec.id
+    assert pats.shape == (8, 9, 9, 1)
     again = sample_patches(rec, 8, 9, allow_flip=True, rng=SplitMix64(4))
-    for a, b in zip(pats, again):
-        assert np.array_equal(a.pixels, b.pixels)
-        assert a.flipped == b.flipped
+    assert np.array_equal(pats, again)
 
 
 def test_sample_patches_no_flip_means_none_flipped():
-    rec = _record(h=16, w=16)
+    rec = _record(h=8, w=8)
     pats = sample_patches(rec, 50, 8, allow_flip=False, rng=SplitMix64(1))
-    assert not any(p.flipped for p in pats)
+    # patch size == image size pins the crop, so only a flip could change it
+    assert all(np.array_equal(p, rec.pixels) for p in pats)
 
 
 def test_sample_patches_flip_mirrors_columns():
     rec = _record(h=10, w=10, seed=9)
     pats = sample_patches(rec, 40, 10, allow_flip=True, rng=SplitMix64(2))
     # patch size == image size pins the crop, so only the flip varies
-    flipped = [p for p in pats if p.flipped]
-    straight = [p for p in pats if not p.flipped]
-    assert flipped and straight
-    assert np.array_equal(flipped[0].pixels, straight[0].pixels[:, ::-1, :])
+    mirror = rec.pixels[:, ::-1, :]
+    straight = [np.array_equal(p, rec.pixels) for p in pats]
+    flipped = [np.array_equal(p, mirror) for p in pats]
+    assert all(s != f for s, f in zip(straight, flipped))
+    assert any(straight) and any(flipped)
 
 
 def test_sample_patches_rejects_small_image():
@@ -172,7 +169,7 @@ def test_bilinear_downscale_range():
 def test_resize_and_crop_shapes():
     rec = ImageRecord(id="x", pixels=SplitMix64(3).uniform_block(30 * 48).reshape(30, 48, 1))
     p = resize_short_side_and_center_crop(rec, short_side=20, crop=16)
-    assert p.pixels.shape == (16, 16, 1)
+    assert p.shape == (16, 16, 1)
     with pytest.raises(DatasetError):
         resize_short_side_and_center_crop(rec, short_side=10, crop=16)
 
@@ -180,4 +177,4 @@ def test_resize_and_crop_shapes():
 def test_resize_keeps_aspect():
     rec = ImageRecord(id="x", pixels=np.zeros((30, 60, 1)))
     p = resize_short_side_and_center_crop(rec, short_side=15, crop=15)
-    assert p.pixels.shape == (15, 15, 1)
+    assert p.shape == (15, 15, 1)

@@ -3,21 +3,24 @@ import json
 import os
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from biqa.dataset import ImageRecord
 from biqa.harness import (
     ExperimentConfig,
     ExperimentRunner,
     ExperimentState,
     HarnessError,
+    crop_scorer,
     load_config,
     reference_config,
     save_config,
     signature_of,
     subset_tag,
 )
-from biqa.rng import derive_seed
-from biqa.scorer import ScorerConfig
+from biqa.rng import SplitMix64, derive_seed
+from biqa.scorer import ScorerConfig, forward_batch, init_params
 from biqa.synthbench import BiasedDatasetConfig
 from biqa.trainer import TrainConfig
 
@@ -72,6 +75,20 @@ def test_subset_tag_and_signature():
     sig2 = signature_of({"b": [1, 2], "a": 1})
     assert sig1 == sig2  # canonical key order
     assert sig1 != signature_of({"a": 2, "b": [1, 2]})
+
+
+def test_crop_scorer_keeps_record_order_across_batches():
+    params = init_params(ScorerConfig(8, 1, (4,), hidden=4), 3)
+    crops = {
+        f"r{i:03d}": SplitMix64(i).uniform_block(64).reshape(8, 8, 1) for i in range(300)
+    }
+    ids = sorted(crops)
+    SplitMix64(5).shuffle(ids)  # 300 records cross the 256-record chunk boundary
+    # the crops live in the dict; the records carry only their ids
+    records = [ImageRecord(id=i, pixels=np.zeros((1, 1, 1))) for i in ids]
+    scores = crop_scorer(params, crops)(records)
+    expected = [forward_batch(params, crops[i][None])[0][0] for i in ids]
+    np.testing.assert_allclose(scores, expected, rtol=1e-12)
 
 
 def test_config_validation():

@@ -180,16 +180,12 @@ def _manifest(name, n, seed):
 
 def test_repeated_split_eval_oracle():
     man = _manifest("d", 40, 0)
-
-    def train_fn(manifest, split, seed):
-        return dict(manifest.labels)
-
-    rep = repeated_split_eval(man, train_fn, k=3, base_seed=5)
+    rep = repeated_split_eval(man, man.labels, k=3, base_seed=5)
     assert rep.srcc == pytest.approx(1.0, abs=1e-12)
     assert rep.n == 8  # 20% of 40
     assert rep.betas is None
     with pytest.raises(MetricError, match="k must be"):
-        repeated_split_eval(man, train_fn, k=0)
+        repeated_split_eval(man, man.labels, k=0)
 
 
 def test_cross_dataset_matrix_shape_and_oracle():

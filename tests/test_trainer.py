@@ -19,7 +19,6 @@ from biqa.trainer import (
     fidelity_loss,
     l1_loss,
     lr_at,
-    pairwise_loss,
     stable_sigmoid,
     train_pairwise,
     train_single,
@@ -291,8 +290,15 @@ def test_train_pairwise_lowers_fidelity_loss():
     cfg0 = TrainConfig(epochs=1, warmup_epochs=0, base_lr=0.0, min_lr=0.0,
                        warmup_start_lr=0.0, weight_decay=0.0, seed=11)
     cfg = TrainConfig(epochs=10, warmup_epochs=1, base_lr=3e-3, seed=11)
-    before = pairwise_loss(train_pairwise(pairs, store, _SCFG, cfg0), pairs, store)
-    after = pairwise_loss(train_pairwise(pairs, store, _SCFG, cfg), pairs, store)
+
+    def loss(params):
+        sx, _ = forward_batch(params, np.stack([store[s.x_id] for s in pairs.samples]))
+        sy, _ = forward_batch(params, np.stack([store[s.y_id] for s in pairs.samples]))
+        return fidelity_loss(np.array([s.p_r for s in pairs.samples]),
+                             stable_sigmoid(sx - sy))[0]
+
+    before = loss(train_pairwise(pairs, store, _SCFG, cfg0))
+    after = loss(train_pairwise(pairs, store, _SCFG, cfg))
     assert after < before
 
 
