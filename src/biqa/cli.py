@@ -342,7 +342,3 @@ def dispatch(argv=None) -> int:
 
 def main() -> None:
     sys.exit(dispatch())
-
-
-if __name__ == "__main__":
-    main()

@@ -29,7 +29,7 @@ import json
 import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -180,18 +180,7 @@ class ExperimentConfig:
         return subset_tag(self.dataset_names)
 
     def to_dict(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "master_seed": self.master_seed,
-            "datasets": [c.to_dict() for c in self.datasets],
-            "pool": self.pool.to_dict(),
-            "pair_ladder": list(self.pair_ladder),
-            "ensemble_subsets": [list(s) for s in self.ensemble_subsets],
-            "scorer": self.scorer.to_dict(),
-            "stage1": self.stage1.to_dict(),
-            "stage3": self.stage3.to_dict(),
-            "split_fraction": self.split_fraction,
-        }
+        return {"schema": SCHEMA_VERSION} | asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":

@@ -19,7 +19,7 @@ import json
 import os
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -60,13 +60,7 @@ class ScorerConfig:
             size = (size + 1) // 2
 
     def to_dict(self) -> dict:
-        return {
-            "patch_size": self.patch_size,
-            "channels_in": self.channels_in,
-            "conv_channels": list(self.conv_channels),
-            "hidden": self.hidden,
-            "activation": self.activation,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "ScorerConfig":

@@ -11,7 +11,7 @@ quality - a controllable stand-in for inter-dataset bias.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -87,14 +87,7 @@ class BiasedDatasetConfig:
             raise SynthError(f"{self.name}: need at least 2 images")
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "n_images": self.n_images,
-            "allowed_kinds": list(self.allowed_kinds),
-            "label_remap": self.label_remap,
-            "seed": self.seed,
-            "image_size": self.image_size,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "BiasedDatasetConfig":

@@ -8,7 +8,6 @@ capture so the verdict list is readable in any run log. The reference
 experiment (master seed 42) is built once and shared by checks 6 through 9.
 """
 
-import csv
 import hashlib
 import math
 import os

@@ -1,8 +1,12 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import biqa
 from biqa.cli import dispatch
 from biqa.scorer import ScorerConfig, init_params, save_params
 from biqa.trainer import TrainConfig
@@ -291,3 +295,64 @@ def test_run_experiment_and_ablate(tmp_path, capsys):
     ]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert [r["n_pairs"] for r in payload["rungs"]] == [6, 20]
+
+
+_BLAS_VARS = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
+
+# Records, for each os.environ.setdefault call, whether numpy was already
+# imported, then enters the CLI the way `python -m biqa` or the console
+# script does and reports the BLAS variables afterwards.
+_ENTRY_PROBE = """
+import json, os, runpy, sys
+seen = []
+setdefault = os.environ.setdefault
+def spy(key, value):
+    seen.append([key, "numpy" in sys.modules])
+    return setdefault(key, value)
+os.environ.setdefault = spy
+sys.argv = ["biqa", "--help"]
+try:
+    if ENTRY == "module":
+        runpy.run_module("biqa", run_name="__main__", alter_sys=True)
+    elif ENTRY == "script":
+        from biqa.__main__ import main
+        main()
+    else:
+        import biqa.cli, biqa.dataset, biqa.harness, biqa.trainer
+except SystemExit:
+    pass
+print(json.dumps({"seen": seen, "env": [os.environ.get(v) for v in VARS],
+                  "numpy": "numpy" in sys.modules}))
+"""
+
+
+def _probe_entry(entry, **env):
+    full = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    src = str(Path(biqa.__file__).resolve().parent.parent)
+    full["PYTHONPATH"] = os.pathsep.join(filter(None, [src, full.get("PYTHONPATH")]))
+    code = f"ENTRY = {entry!r}\nVARS = {_BLAS_VARS!r}\n" + _ENTRY_PROBE
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=full | env, capture_output=True, text=True,
+        check=True,
+    )
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("entry", ["module", "script"])
+def test_entry_pins_blas_threads_before_numpy(entry):
+    report = _probe_entry(entry)
+    assert report["env"] == ["1", "1", "1"]
+    assert report["seen"] == [[v, False] for v in _BLAS_VARS]
+    assert report["numpy"]  # the CLI did get imported after the pin
+
+
+def test_entry_keeps_a_user_blas_setting():
+    report = _probe_entry("module", OPENBLAS_NUM_THREADS="2")
+    assert report["env"] == ["2", "1", "1"]
+
+
+def test_library_imports_leave_blas_unset():
+    report = _probe_entry("library")
+    assert report["env"] == [None, None, None]
+    assert report["seen"] == []
+    assert report["numpy"]

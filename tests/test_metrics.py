@@ -5,7 +5,6 @@ import pytest
 
 from biqa.dataset import DatasetManifest, ImageRecord
 from biqa.metrics import (
-    EvalReport,
     LogisticParams,
     MetricError,
     ScoredModel,

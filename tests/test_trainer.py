@@ -1,12 +1,13 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from biqa.dataset import DatasetManifest, ImageRecord, split_dataset
+from biqa.dataset import DatasetManifest, ImageRecord, sample_patches, split_dataset
 from biqa.pseudolabel import PairManifest, PairSample
 from biqa.rng import SplitMix64, derive_seed
-from biqa.scorer import ScorerConfig, forward_batch, init_params
+from biqa.scorer import ScorerConfig, backward, forward_batch, init_params
 from biqa.trainer import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -327,3 +328,123 @@ def test_two_stream_gradient_antisymmetry():
     a = train_pairwise(fwd, store, _SCFG, cfg)
     b = train_pairwise(rev, store, _SCFG, cfg)
     assert np.allclose(a.values, b.values, rtol=0, atol=1e-15)
+
+
+def _reference_loop_setup(scorer_config, train_config, n_items):
+    params = init_params(scorer_config, derive_seed(train_config.seed, "init"))
+    data_rng = SplitMix64(derive_seed(train_config.seed, "data"))
+    state = OptimState.zeros(params.values.size)
+    steps_per_epoch = max(1, -(-n_items // train_config.batch_size))
+    return params, data_rng, state, steps_per_epoch
+
+
+def _reference_train_single(manifest, split, scorer_config, train_config):
+    """The stage-1 loop as it was written out before both stages shared one
+    driver; returns the params and the epoch log records without seconds."""
+    by_id = manifest.by_id
+    n_samples = len(split.train_ids) * train_config.patches_per_image
+    params, data_rng, state, steps_per_epoch = _reference_loop_setup(
+        scorer_config, train_config, n_samples
+    )
+    records, step = [], 0
+    for epoch in range(train_config.epochs):
+        order = list(split.train_ids)
+        data_rng.shuffle(order)
+        patches = np.concatenate([
+            sample_patches(by_id[i], train_config.patches_per_image,
+                           scorer_config.patch_size, allow_flip=True, rng=data_rng)
+            for i in order
+        ])
+        labels = np.repeat([manifest.rescaled[i] for i in order],
+                           train_config.patches_per_image)
+        epoch_lr = lr_at(step, steps_per_epoch, train_config)
+        abs_dev_total = 0.0
+        for batch_idx in range(0, len(patches), train_config.batch_size):
+            xb = patches[batch_idx : batch_idx + train_config.batch_size]
+            yb = labels[batch_idx : batch_idx + train_config.batch_size]
+            preds, trace = forward_batch(params, xb)
+            loss, dloss = l1_loss(preds, yb)
+            grads = backward(trace, params, dloss)
+            adamw_step(params.values, grads, state,
+                       lr_at(step, steps_per_epoch, train_config), train_config.weight_decay)
+            step += 1
+            abs_dev_total += loss * len(yb)
+        records.append({"stage": "train-single", "epoch": epoch, "lr": epoch_lr,
+                        "loss": abs_dev_total / len(patches)})
+    params.meta = dict(params.meta, trained_on=manifest.name)
+    return params, records
+
+
+def _reference_train_pairwise(pair_manifest, image_store, scorer_config, train_config):
+    """The stage-3 loop as it was written out before both stages shared one
+    driver; returns the params and the epoch log records without seconds."""
+    pairs = list(pair_manifest.samples)
+    params, data_rng, state, steps_per_epoch = _reference_loop_setup(
+        scorer_config, train_config, len(pairs)
+    )
+    records, step = [], 0
+    for epoch in range(train_config.epochs):
+        order = list(range(len(pairs)))
+        data_rng.shuffle(order)
+        epoch_lr = lr_at(step, steps_per_epoch, train_config)
+        loss_total = 0.0
+        for batch_idx in range(0, len(order), train_config.batch_size):
+            chosen = [pairs[i] for i in order[batch_idx : batch_idx + train_config.batch_size]]
+            xb = np.stack([image_store[s.x_id] for s in chosen])
+            yb = np.stack([image_store[s.y_id] for s in chosen])
+            targets = np.array([s.p_r for s in chosen])
+            scores_x, trace_x = forward_batch(params, xb)
+            scores_y, trace_y = forward_batch(params, yb)
+            probs = stable_sigmoid(scores_x - scores_y)
+            loss, dloss_dp = fidelity_loss(targets, probs)
+            dp_dscore = probs * (1.0 - probs)
+            upstream = dloss_dp * dp_dscore
+            grads = backward(trace_x, params, upstream)
+            grads += backward(trace_y, params, -upstream)
+            adamw_step(params.values, grads, state,
+                       lr_at(step, steps_per_epoch, train_config), train_config.weight_decay)
+            step += 1
+            loss_total += loss * len(chosen)
+        records.append({"stage": "train-pairwise", "epoch": epoch, "lr": epoch_lr,
+                        "loss": loss_total / len(pairs)})
+    return params, records
+
+
+def _epoch_records(caplog):
+    records = [json.loads(r.getMessage()) for r in caplog.records if r.name == "biqa.trainer"]
+    for record in records:
+        assert list(record) == ["stage", "epoch", "lr", "loss", "seconds"]
+        del record["seconds"]
+    return records
+
+
+@pytest.mark.parametrize("patches_per_image", [1, 3])
+@pytest.mark.parametrize("warmup_epochs", [0, 1])
+def test_train_single_matches_reference_loop(caplog, patches_per_image, warmup_epochs):
+    m = _toy_manifest(n=10)
+    split = split_dataset(m, 3)
+    cfg = TrainConfig(epochs=3, batch_size=5, warmup_epochs=warmup_epochs, base_lr=3e-3,
+                      patches_per_image=patches_per_image, seed=21)
+    # a short last batch in every epoch
+    assert len(split.train_ids) * patches_per_image % cfg.batch_size != 0
+    ref, ref_records = _reference_train_single(m, split, _SCFG, cfg)
+    caplog.set_level("INFO", logger="biqa.trainer")
+    got = train_single(m, split, _SCFG, cfg)
+    assert np.array_equal(got.values, ref.values)
+    assert got.meta == ref.meta
+    assert _epoch_records(caplog) == ref_records
+    assert len(ref_records) == cfg.epochs
+
+
+def test_train_pairwise_matches_reference_loop(caplog):
+    store = _toy_store(n=10)
+    pairs = _toy_pairs(sorted(store), 15, seed=5)
+    assert len(pairs.samples) % 2 == 1
+    cfg = TrainConfig(epochs=2, batch_size=4, warmup_epochs=1, base_lr=3e-3, seed=17)
+    ref, ref_records = _reference_train_pairwise(pairs, store, _SCFG, cfg)
+    caplog.set_level("INFO", logger="biqa.trainer")
+    got = train_pairwise(pairs, store, _SCFG, cfg)
+    assert np.array_equal(got.values, ref.values)
+    assert got.meta == ref.meta
+    assert _epoch_records(caplog) == ref_records
+    assert len(ref_records) == cfg.epochs
