@@ -186,59 +186,6 @@ def sample_patches(
     return patches
 
 
-def _resize_axis_coords(n_src: int, n_dst: int) -> tuple[np.ndarray, np.ndarray]:
-    # half-pixel-center sampling, clamped to the valid range
-    src = (np.arange(n_dst, dtype=np.float64) + 0.5) * (n_src / n_dst) - 0.5
-    src = np.clip(src, 0.0, n_src - 1.0)
-    i0 = np.floor(src).astype(np.int64)
-    i0 = np.minimum(i0, n_src - 2) if n_src > 1 else np.zeros_like(i0)
-    frac = src - i0
-    return i0, frac
-
-
-def bilinear_resize(pixels: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resample with half-pixel centers.
-
-    Uses the lerp form v0 + f*(v1 - v0), which reproduces constant images
-    exactly and keeps monotone ramps monotone.
-    """
-    src = np.asarray(pixels, dtype=np.float64)
-    y0, fy = _resize_axis_coords(src.shape[0], out_h)
-    x0, fx = _resize_axis_coords(src.shape[1], out_w)
-    y1 = np.minimum(y0 + 1, src.shape[0] - 1)
-    x1 = np.minimum(x0 + 1, src.shape[1] - 1)
-    fy = fy[:, None, None]
-    fx = fx[None, :, None]
-    top = src[y0][:, x0, :] + fx * (src[y0][:, x1, :] - src[y0][:, x0, :])
-    bottom = src[y1][:, x0, :] + fx * (src[y1][:, x1, :] - src[y1][:, x0, :])
-    return top + fy * (bottom - top)
-
-
-def resize_short_side_and_center_crop(
-    record: ImageRecord, short_side: int, crop: int
-) -> np.ndarray:
-    """Resize so min(W, H) == short_side (aspect kept), then center-crop
-    to a (crop, crop, C) array.
-
-    The long side is rounded to the nearest integer (half up). For odd
-    crop margins the extra row/column is taken from the bottom/right.
-    """
-    if crop > short_side:
-        raise DatasetError(f"crop {crop} exceeds short side {short_side}")
-    h, w = record.height, record.width
-    scale = short_side / min(h, w)
-    if h <= w:
-        out_h = short_side
-        out_w = int(np.floor(w * scale + 0.5))
-    else:
-        out_w = short_side
-        out_h = int(np.floor(h * scale + 0.5))
-    resized = bilinear_resize(record.pixels, out_h, out_w)
-    top = (out_h - crop) // 2
-    left = (out_w - crop) // 2
-    return np.ascontiguousarray(resized[top : top + crop, left : left + crop, :])
-
-
 def write_manifest_csv(
     path: str, rows: list[tuple[str, str, float]]
 ) -> None:

@@ -43,6 +43,7 @@ from .metrics import (
     srcc,
 )
 from .pseudolabel import (
+    SCORE_BATCH,
     EnsembleSnapshot,
     PairManifest,
     build_pair_manifest,
@@ -72,7 +73,6 @@ from .trainer import TrainConfig, train_pairwise, train_single
 log = logging.getLogger("biqa.harness")
 
 SCHEMA_VERSION = 1
-_EVAL_BATCH = 256
 
 
 class HarnessError(Exception):
@@ -328,12 +328,12 @@ def _unseeded(train: TrainConfig) -> dict:
 
 def crop_scorer(params: ScorerParams, crops: dict[str, np.ndarray]):
     """fn(records) -> one score per record, from its fixed crop in crops,
-    in record order and in batches of 256."""
+    in record order and in batches of SCORE_BATCH."""
 
     def fn(records) -> np.ndarray:
         out = np.empty(len(records))
-        for lo in range(0, len(records), _EVAL_BATCH):
-            chunk = np.stack([crops[r.id] for r in records[lo : lo + _EVAL_BATCH]])
+        for lo in range(0, len(records), SCORE_BATCH):
+            chunk = np.stack([crops[r.id] for r in records[lo : lo + SCORE_BATCH]])
             out[lo : lo + len(chunk)], _ = forward_batch(params, chunk)
         return out
 
@@ -359,12 +359,12 @@ class ExperimentRunner:
         self.state = ExperimentState.load(out_dir)
         save_config(config, os.path.join(out_dir, "config.json"))
         self.manifests: dict[str, DatasetManifest] = {}
+        # fixed evaluation crop of every image in every dataset and the pool
+        self.crops: dict[str, np.ndarray] = {}
         self.truths: dict[str, GroundTruth] = {}
         self.s1_models: dict[str, dict] = {}
         self.pair_entries: dict[str, dict] = {}
         self.cdr_models: dict[str, dict] = {}
-        self._pool_store: dict | None = None
-        self._eval_crops: dict | None = None
         self._memo: dict[str, object] = {}
 
     # ---- helpers -------------------------------------------------------
@@ -424,29 +424,6 @@ class ExperimentRunner:
             models[key] = {"params": load_params(path)} | entry
         return models
 
-    def _pool_crops(self) -> dict:
-        if self._pool_store is None:
-            records = self.manifests[self.config.pool.name].records
-            self._pool_store = central_crop_store(
-                records, self.config.scorer.patch_size
-            )
-        return self._pool_store
-
-    def _eval_crop_store(self) -> dict:
-        if self._eval_crops is None:
-            store = {}
-            for name in self.config.dataset_names:
-                store.update(
-                    central_crop_store(
-                        self.manifests[name].records, self.config.scorer.patch_size
-                    )
-                )
-            self._eval_crops = store
-        return self._eval_crops
-
-    def _score_fn(self, params: ScorerParams):
-        return crop_scorer(params, self._eval_crop_store())
-
     # ---- stages --------------------------------------------------------
 
     def run_data(self) -> None:
@@ -476,6 +453,11 @@ class ExperimentRunner:
                 )
                 self.truths[c.name] = load_ground_truth(
                     os.path.join(data_dir, f"{c.name}.truth.csv")
+                )
+                self.crops.update(
+                    central_crop_store(
+                        self.manifests[c.name].records, self.config.scorer.patch_size
+                    )
                 )
 
         payload = {"configs": [c.to_dict() for c in all_configs]}
@@ -539,7 +521,7 @@ class ExperimentRunner:
             snapshot = EnsembleSnapshot.from_params(
                 [self.s1_models[n]["params"] for n in names]
             )
-            table = score_pool(snapshot, image_ids, self._pool_crops())
+            table = score_pool(snapshot, image_ids, self.crops)
             by_name = dict(zip(names, table))
             prov_by_name = dict(zip(names, snapshot.provenance))
             manifests_by_tag = {}
@@ -600,7 +582,7 @@ class ExperimentRunner:
         units = self._pair_units()
         keys = [f"{t}:n{n}" for t, n in units]
 
-        def unit(tag_n: tuple[str, int], store: dict) -> tuple[str, dict]:
+        def unit(tag_n: tuple[str, int]) -> tuple[str, dict]:
             tag, n = tag_n
             key = f"{tag}:n{n}"
             log.info("stage3: training pairwise scorer on %s", key)
@@ -608,17 +590,15 @@ class ExperimentRunner:
                 config.stage3,
                 seed=derive_seed(config.master_seed, "train3", tag, f"n{n}"),
             )
-            params = train_pairwise(self._load_pairs(key), store, config.scorer, tcfg)
+            params = train_pairwise(
+                self._load_pairs(key), self.crops, config.scorer, tcfg
+            )
             params.meta = {
                 "trained_on": config.pool.name,
                 "ensemble": tag,
                 "n_pairs": n,
             }
             return f"model:{key}", self._save_model(params, f"cdr-{tag}-n{n}")
-
-        def build() -> dict:
-            store = self._pool_crops()
-            return dict(self._map(lambda tag_n: unit(tag_n, store), units))
 
         payload = {
             "pairs": {k: self.pair_entries[k]["sha256"] for k in keys},
@@ -628,7 +608,10 @@ class ExperimentRunner:
             "train": _unseeded(config.stage3),
         }
         self.cdr_models = self._stage(
-            "stage3", payload, build, lambda outputs: self._load_models(outputs, keys)
+            "stage3",
+            payload,
+            lambda: dict(self._map(unit, units)),
+            lambda outputs: self._load_models(outputs, keys),
         )
         return self.cdr_models
 
@@ -672,7 +655,7 @@ class ExperimentRunner:
             ScoredModel(
                 name=f"s1-{name}",
                 trained_on=name,
-                score_fn=self._score_fn(self.s1_models[name]["params"]),
+                score_fn=crop_scorer(self.s1_models[name]["params"], self.crops),
             )
             for name in self.config.dataset_names
         ]
@@ -681,14 +664,14 @@ class ExperimentRunner:
             ScoredModel(
                 name="cdr",
                 trained_on=self.config.pool.name,
-                score_fn=self._score_fn(cdr["params"]),
+                score_fn=crop_scorer(cdr["params"], self.crops),
             )
         )
         return rows
 
     def _mean_srcc(self, params: ScorerParams) -> dict:
         """Mean ground-truth SRCC of one model across all datasets."""
-        fn = self._score_fn(params)
+        fn = crop_scorer(params, self.crops)
         per_dataset = {}
         for manifest in self._qstar_manifests():
             preds = fn(manifest.records)

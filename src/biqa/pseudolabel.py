@@ -24,13 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DatasetManifest, ImageRecord, resize_short_side_and_center_crop
+from .dataset import DatasetError, DatasetManifest, ImageRecord
 from .rng import MASK64, derive_seed, mix64
 from .scorer import ScorerParams, forward_batch, load_params, params_digest
 from .trainer import stable_sigmoid
 
 _FEISTEL_ROUNDS = 4
-_SCORE_BATCH = 256
+# images per forward_batch call wherever fixed crops are scored
+SCORE_BATCH = 256
 
 
 class PseudoLabelError(Exception):
@@ -128,11 +129,22 @@ def ensemble_pseudolabel(per_model_probs) -> float:
 
 
 def central_crop_store(records: list[ImageRecord], crop: int) -> dict[str, np.ndarray]:
-    """Fixed evaluation crop per image: the center crop at native resolution."""
-    return {
-        rec.id: resize_short_side_and_center_crop(rec, min(rec.height, rec.width), crop)
-        for rec in records
-    }
+    """Fixed evaluation crop per image: the (crop, crop, C) center crop at
+    native resolution. For an odd margin the extra row/column is taken
+    from the bottom/right."""
+    store = {}
+    for rec in records:
+        if crop > min(rec.height, rec.width):
+            raise DatasetError(
+                f"record {rec.id!r} is {rec.width}x{rec.height}, "
+                f"smaller than crop {crop}"
+            )
+        top = (rec.height - crop) // 2
+        left = (rec.width - crop) // 2
+        store[rec.id] = np.ascontiguousarray(
+            rec.pixels[top : top + crop, left : left + crop, :]
+        )
+    return store
 
 
 def score_pool(
@@ -150,8 +162,8 @@ def score_pool(
     table = []
     for member in snapshot.members:
         scores = np.empty(len(image_ids))
-        for lo in range(0, len(image_ids), _SCORE_BATCH):
-            chunk = crops[lo : lo + _SCORE_BATCH]
+        for lo in range(0, len(image_ids), SCORE_BATCH):
+            chunk = crops[lo : lo + SCORE_BATCH]
             scores[lo : lo + len(chunk)], _ = forward_batch(member.params, chunk)
         table.append({i: float(s) for i, s in zip(image_ids, scores)})
     return table

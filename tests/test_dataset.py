@@ -5,10 +5,8 @@ from biqa.dataset import (
     DatasetError,
     DatasetManifest,
     ImageRecord,
-    bilinear_resize,
     load_manifest,
     rescale_mos,
-    resize_short_side_and_center_crop,
     sample_patches,
     split_dataset,
     write_manifest_csv,
@@ -145,36 +143,3 @@ def test_sample_patches_flip_mirrors_columns():
 def test_sample_patches_rejects_small_image():
     with pytest.raises(DatasetError, match="smaller than patch"):
         sample_patches(_record(h=5, w=5), 1, 8, allow_flip=False, rng=SplitMix64(0))
-
-
-def test_bilinear_identity_when_same_size():
-    img = SplitMix64(6).uniform_block(7 * 9).reshape(7, 9, 1)
-    out = bilinear_resize(img, 7, 9)
-    assert np.array_equal(out, img)
-
-
-def test_bilinear_preserves_constant():
-    img = np.full((5, 8, 1), 0.375)
-    out = bilinear_resize(img, 11, 3)
-    assert np.allclose(out, 0.375, atol=1e-15)
-
-
-def test_bilinear_downscale_range():
-    img = SplitMix64(8).uniform_block(32 * 32).reshape(32, 32, 1)
-    out = bilinear_resize(img, 16, 16)
-    assert out.shape == (16, 16, 1)
-    assert out.min() >= img.min() - 1e-12 and out.max() <= img.max() + 1e-12
-
-
-def test_resize_and_crop_shapes():
-    rec = ImageRecord(id="x", pixels=SplitMix64(3).uniform_block(30 * 48).reshape(30, 48, 1))
-    p = resize_short_side_and_center_crop(rec, short_side=20, crop=16)
-    assert p.shape == (16, 16, 1)
-    with pytest.raises(DatasetError):
-        resize_short_side_and_center_crop(rec, short_side=10, crop=16)
-
-
-def test_resize_keeps_aspect():
-    rec = ImageRecord(id="x", pixels=np.zeros((30, 60, 1)))
-    p = resize_short_side_and_center_crop(rec, short_side=15, crop=15)
-    assert p.shape == (15, 15, 1)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from biqa.dataset import ImageRecord
+from biqa.dataset import DatasetError, ImageRecord
 from biqa.pseudolabel import (
     EnsembleSnapshot,
     PairManifest,
@@ -90,11 +90,31 @@ def _records(n, size=12, seed=0):
     return recs
 
 
+def _png_like(h, w):
+    # 8-bit levels k/255, as read_png returns them; unlike the dyadic values
+    # of uniform_block, their differences are not all exact in float64
+    levels = np.floor(SplitMix64(0).uniform_block(h * w * 3) * 256) / 255
+    return levels.reshape(h, w, 3)
+
+
 def test_central_crop_store_native_center():
     recs = _records(3, size=12)
     store = central_crop_store(recs, 8)
     assert set(store) == {r.id for r in recs}
     assert np.array_equal(store["r001"], recs[1].pixels[2:10, 2:10, :])
+    # non-square with odd margins (the extra row/column stays bottom/right),
+    # and a height equal to the crop, so the crop spans a full side
+    for h, w, top, left in ((13, 19, 2, 5), (8, 11, 0, 1)):
+        rec = ImageRecord(id="x", pixels=_png_like(h, w))
+        crop = central_crop_store([rec], 8)["x"]
+        assert crop.flags.c_contiguous
+        assert np.array_equal(crop, rec.pixels[top : top + 8, left : left + 8, :])
+
+
+def test_central_crop_store_rejects_crop_larger_than_image():
+    rec = ImageRecord(id="x", pixels=np.zeros((30, 7, 1)))
+    with pytest.raises(DatasetError):
+        central_crop_store([rec], 8)
 
 
 def test_score_pool_matches_direct_forward():
