@@ -13,6 +13,13 @@ Pairs are drawn without replacement from the n*(n-1) ordered-pair index
 space by a keyed Feistel permutation with cycle walking, so pair lists
 are uniform, duplicate-free, cheap at millions of pairs, and nested:
 the first k pairs of a longer run equal the k-pair run for the same seed.
+
+Both steps work on whole arrays. The permutation runs over a uint64 array
+of pair indices, and labelling is vectorized per teacher: one sigmoid
+over all of a model's score differences. Only the exactly rounded mean
+over models (ensemble_pseudolabel) and the PairSample objects stay
+per-pair Python steps. The per-model probabilities equal the scalar
+definition relative_prob bit for bit.
 """
 
 from __future__ import annotations
@@ -25,11 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DatasetError, DatasetManifest, ImageRecord
-from .rng import MASK64, derive_seed, mix64
+from .rng import derive_seed, mix64_block
 from .scorer import ScorerParams, forward_batch, load_params, params_digest
 from .trainer import stable_sigmoid
 
 _FEISTEL_ROUNDS = 4
+_LABEL_CHUNK = 65536
 # images per forward_batch call wherever fixed crops are scored
 SCORE_BATCH = 256
 
@@ -169,9 +177,9 @@ def score_pool(
     return table
 
 
-def _pair_from_index(k: int, n: int) -> tuple[int, int]:
-    x, rem = divmod(k, n - 1)
-    return x, rem if rem < x else rem + 1
+def _pair_from_index(k: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    x, rem = np.divmod(k, np.uint64(n - 1))
+    return x, rem + (rem >= x)
 
 
 def sample_pairs(
@@ -188,23 +196,57 @@ def sample_pairs(
             f"n_pairs must be in [1, {total}] for {n} images, got {n_pairs}"
         )
     half = (max(total - 1, 1).bit_length() + 1) // 2
-    mask = (1 << half) - 1
-    keys = [derive_seed(seed, "feistel", r) for r in range(_FEISTEL_ROUNDS)]
+    shift, mask = np.uint64(half), np.uint64((1 << half) - 1)
+    keys = [np.uint64(derive_seed(seed, "feistel", r)) for r in range(_FEISTEL_ROUNDS)]
 
-    def permute(v: int) -> int:
-        left, right = v >> half, v & mask
+    def permute(v: np.ndarray) -> np.ndarray:
+        left, right = v >> shift, v & mask
         for key in keys:
-            left, right = right, left ^ (mix64((right + key) & MASK64) & mask)
-        return (left << half) | right
+            left, right = right, left ^ (mix64_block(right + key) & mask)
+        return (left << shift) | right
 
-    pairs = []
-    for i in range(n_pairs):
-        v = permute(i)
-        while v >= total:
-            v = permute(v)
-        x, y = _pair_from_index(v, n)
-        pairs.append((ids[x], ids[y]))
-    return pairs
+    v = permute(np.arange(n_pairs, dtype=np.uint64))
+    # cycle walking: re-permute only the entries still outside [0, total)
+    walk = np.flatnonzero(v >= np.uint64(total))
+    while walk.size:
+        v[walk] = permute(v[walk])
+        walk = walk[v[walk] >= np.uint64(total)]
+    x, y = _pair_from_index(v, n)
+    id_array = np.empty(n, dtype=object)
+    id_array[:] = ids
+    return list(zip(id_array[x].tolist(), id_array[y].tolist()))
+
+
+def _label_pairs(
+    pairs: list[tuple[str, str]],
+    image_ids: list[str],
+    table: list[dict[str, float]],
+    keep_per_model: bool,
+) -> list[PairSample]:
+    """Label every pair: one stable_sigmoid call per model gives each
+    pair's per-model probabilities, bit-equal to relative_prob, and
+    ensemble_pseudolabel gives its p_r."""
+    position = {image_id: i for i, image_id in enumerate(image_ids)}
+    x = np.fromiter((position[x_id] for x_id, _ in pairs), np.intp, len(pairs))
+    y = np.fromiter((position[y_id] for _, y_id in pairs), np.intp, len(pairs))
+    probs = []
+    for q in table:
+        scores = np.array([q[i] for i in image_ids], dtype=np.float64)
+        probs.append(stable_sigmoid(scores[x] - scores[y]))
+    samples = []
+    # Python floats for one chunk of pairs at a time bound the memory
+    for lo in range(0, len(pairs), _LABEL_CHUNK):
+        rows = zip(*(p[lo : lo + _LABEL_CHUNK].tolist() for p in probs))
+        samples.extend(
+            PairSample(
+                x_id=x_id,
+                y_id=y_id,
+                p_r=ensemble_pseudolabel(per_model),
+                per_model=per_model if keep_per_model else None,
+            )
+            for (x_id, y_id), per_model in zip(pairs[lo : lo + _LABEL_CHUNK], rows)
+        )
+    return samples
 
 
 def build_pair_manifest(
@@ -219,23 +261,14 @@ def build_pair_manifest(
     """Assemble a labeled manifest from precomputed per-model scores."""
     if len(table) != len(provenance) or not table:
         raise PseudoLabelError("score table and provenance lengths differ")
-    samples = []
-    for x_id, y_id in sample_pairs(image_ids, n_pairs, seed):
-        per_model = tuple(relative_prob(q[x_id], q[y_id]) for q in table)
-        samples.append(
-            PairSample(
-                x_id=x_id,
-                y_id=y_id,
-                p_r=ensemble_pseudolabel(per_model),
-                per_model=per_model if keep_per_model else None,
-            )
-        )
     manifest = PairManifest(
         pool=pool_name,
         n_pairs=n_pairs,
         seed=seed,
         ensemble=list(provenance),
-        samples=samples,
+        samples=_label_pairs(
+            sample_pairs(image_ids, n_pairs, seed), image_ids, table, keep_per_model
+        ),
     )
     manifest.validate()
     return manifest

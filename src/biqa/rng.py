@@ -35,6 +35,15 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def mix64_block(z: np.ndarray) -> np.ndarray:
+    """mix64 on every word of a uint64 array (arithmetic mod 2**64)."""
+    z = np.asarray(z, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        return z ^ (z >> np.uint64(31))
+
+
 def derive_seed(seed: int, *labels: str | int) -> int:
     """Derive an independent stream seed from a master seed and labels.
 
@@ -64,10 +73,7 @@ class SplitMix64:
         idx = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
         self.counter += n
         with np.errstate(over="ignore"):
-            z = np.uint64(self.seed) + idx * np.uint64(GAMMA)
-            z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-            return z ^ (z >> np.uint64(31))
+            return mix64_block(np.uint64(self.seed) + idx * np.uint64(GAMMA))
 
     def uniform(self) -> float:
         return (self.next_u64() >> 11) * 2.0**-53

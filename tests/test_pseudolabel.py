@@ -19,7 +19,7 @@ from biqa.pseudolabel import (
     save_pair_manifest,
     score_pool,
 )
-from biqa.rng import SplitMix64
+from biqa.rng import MASK64, SplitMix64, derive_seed, mix64
 from biqa.scorer import ScorerConfig, forward_batch, init_params, params_digest
 
 _CFG = ScorerConfig(patch_size=8, channels_in=1, conv_channels=(2, 3), hidden=4)
@@ -156,6 +156,120 @@ def test_sample_pairs_validation():
         sample_pairs(["a", "b"], 0, seed=0)
     with pytest.raises(PseudoLabelError):
         sample_pairs(["a", "b"], 3, seed=0)
+
+
+# Reference copies of the former per-pair code: the scalar Feistel draw in
+# Python integers and one relative_prob call per pair and model. The array
+# code must give the same pairs, the same floats and the same file bytes.
+
+
+def _reference_sample_pairs(image_ids, n_pairs, seed):
+    ids = list(image_ids)
+    n = len(ids)
+    total = n * (n - 1)
+    half = (max(total - 1, 1).bit_length() + 1) // 2
+    mask = (1 << half) - 1
+    keys = [derive_seed(seed, "feistel", r) for r in range(4)]
+
+    def permute(v):
+        left, right = v >> half, v & mask
+        for key in keys:
+            left, right = right, left ^ (mix64((right + key) & MASK64) & mask)
+        return (left << half) | right
+
+    pairs = []
+    for i in range(n_pairs):
+        v = permute(i)
+        while v >= total:
+            v = permute(v)
+        x, rem = divmod(v, n - 1)
+        pairs.append((ids[x], ids[rem if rem < x else rem + 1]))
+    return pairs
+
+
+def _reference_build_pair_manifest(pool_name, image_ids, table, provenance,
+                                   n_pairs, seed, keep_per_model=False):
+    samples = []
+    for x_id, y_id in _reference_sample_pairs(image_ids, n_pairs, seed):
+        per_model = tuple(relative_prob(q[x_id], q[y_id]) for q in table)
+        samples.append(
+            PairSample(
+                x_id=x_id,
+                y_id=y_id,
+                p_r=math.fsum(per_model) / len(per_model),
+                per_model=per_model if keep_per_model else None,
+            )
+        )
+    manifest = PairManifest(pool_name, n_pairs, seed, list(provenance), samples)
+    manifest.validate()
+    return manifest
+
+
+def _spread_table(ids, spreads):
+    """One score dict per model: normal scores times that model's spread."""
+    return [
+        {i: float(v) for i, v in zip(ids, SplitMix64(70 + j).normal_block(len(ids)) * s)}
+        for j, s in enumerate(spreads)
+    ]
+
+
+@pytest.mark.parametrize(
+    "n, n_pairs, seed",
+    [(n, n * (n - 1), seed) for n in (2, 3, 7) for seed in range(4)]
+    + [(2000, 12000, 1), (70000, 1000, 2)],
+)
+def test_sample_pairs_equals_scalar_reference(n, n_pairs, seed):
+    # n * (n - 1) pairs walk every index that leaves the permutation's
+    # range; 70000 images put n * (n - 1) above 2**32
+    ids = [f"img{i:05d}" for i in range(n)]
+    assert sample_pairs(ids, n_pairs, seed) == _reference_sample_pairs(ids, n_pairs, seed)
+
+
+@pytest.mark.parametrize(
+    "n, n_pairs, spreads, keep_per_model",
+    [
+        (2, 2, (1.0,), False),
+        (3, 6, (1.0, 3.0), True),
+        (7, 42, (1.0, 2.0, 900.0), True),
+        (7, 42, (1.0, 900.0), False),
+        (2000, 12000, (1.0, 1.0, 1.0), True),
+        (2000, 12000, (1.0, 900.0), True),
+        (2000, 12000, (0.5, 1.0, 900.0), False),
+        (70000, 1000, (1.0, 2.0, 900.0), True),
+        (70000, 1000, (2.0,), False),
+    ],
+)
+def test_build_pair_manifest_bytes_equal_per_pair_reference(
+    tmp_path, n, n_pairs, spreads, keep_per_model
+):
+    ids = [f"img{i:05d}" for i in range(n)]
+    table = _spread_table(ids, spreads)
+    prov = [{"trained_on": f"s{j}", "digest": f"d{j}"} for j in range(len(spreads))]
+    args = ("pool", ids, table, prov, n_pairs, 11, keep_per_model)
+    want = _reference_build_pair_manifest(*args)
+    got = build_pair_manifest(*args)
+    assert got.samples == want.samples
+    save_pair_manifest(want, str(tmp_path / "want.csv"))
+    save_pair_manifest(got, str(tmp_path / "got.csv"))
+    for ext in ("csv", "json"):
+        assert (tmp_path / f"got.{ext}").read_bytes() == (tmp_path / f"want.{ext}").read_bytes()
+    if spreads[-1] >= 900.0:
+        # the wide model's probabilities round to exactly 0 and 1 on some pairs
+        wide = {relative_prob(table[-1][s.x_id], table[-1][s.y_id]) for s in want.samples}
+        assert {0.0, 1.0} <= wide
+
+
+@pytest.mark.parametrize("spreads", [(900.0,), (900.0, 900.0)])
+def test_saturated_label_raises_as_per_pair_reference(spreads):
+    ids = [f"img{i}" for i in range(7)]
+    table = _spread_table(ids, spreads)
+    prov = [{"trained_on": f"s{j}", "digest": f"d{j}"} for j in range(len(spreads))]
+    args = ("pool", ids, table, prov, 42, 3)
+    with pytest.raises(PseudoLabelError, match="p_r") as want:
+        _reference_build_pair_manifest(*args)
+    with pytest.raises(PseudoLabelError) as got:
+        build_pair_manifest(*args)
+    assert str(got.value) == str(want.value)
 
 
 def test_build_pair_manifest_labels():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from biqa.rng import GAMMA, MASK64, SplitMix64, derive_seed, mix64, spawn
+from biqa.rng import GAMMA, MASK64, SplitMix64, derive_seed, mix64, mix64_block, spawn
 
 
 def test_mix64_known_values():
@@ -19,6 +19,18 @@ def test_mix64_known_values():
 def test_mix64_masks_input():
     assert mix64(2**64 + 5) == mix64(5)
     assert 0 <= mix64(MASK64) <= MASK64
+
+
+def test_mix64_block_equals_scalar():
+    rng = SplitMix64(41)
+    words = (
+        [0, 1, MASK64, MASK64 - 1]
+        + [(k * GAMMA) & MASK64 for k in range(1, 65)]
+        + [rng.next_u64() for _ in range(500)]
+    )
+    block = mix64_block(np.array(words, dtype=np.uint64))
+    assert block.dtype == np.uint64
+    assert block.tolist() == [mix64(w) for w in words]
 
 
 def test_counter_based_restart():

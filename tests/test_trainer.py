@@ -123,6 +123,23 @@ def test_stable_sigmoid_extremes_and_symmetry():
     assert np.allclose(s + stable_sigmoid(-d), 1.0, atol=1e-15)
 
 
+def test_stable_sigmoid_array_equals_elementwise():
+    # pair labelling calls it once per model on every pair's score
+    # difference; the bits must equal one 0-d call per value, including
+    # differences wide enough to round to 0.0 or 1.0
+    rng = SplitMix64(5)
+    d = np.concatenate([
+        rng.normal_block(3000),
+        rng.normal_block(3000) * 40,
+        rng.normal_block(3000) * 1000,
+        [0.0, -0.0, 36.0, 37.0, 38.0, -700.0, -745.0, -746.0],
+    ])
+    s = stable_sigmoid(d)
+    elementwise = [stable_sigmoid(v) for v in d]
+    assert s.tolist() == elementwise
+    assert {0.0, 1.0} <= set(elementwise)
+
+
 def test_lr_schedule_endpoints():
     cfg = TrainConfig(epochs=10, warmup_epochs=2, base_lr=1e-3,
                       warmup_start_lr=5e-7, min_lr=1e-8)
