@@ -20,6 +20,7 @@ from .harness import ExperimentRunner, HarnessError, crop_scorer, load_config, \
     reference_config
 from .metrics import MetricError, ScoredModel, cross_dataset_matrix, evaluate, \
     matrix_to_json, render_matrix_csv, repeated_split_eval, srcc
+from .png_io import write_atomic
 from .pseudolabel import (
     EnsembleSnapshot,
     PseudoLabelError,
@@ -216,8 +217,7 @@ def _cmd_cross_eval(args) -> dict:
 
     matrix = cross_dataset_matrix([row(p, m) for p, m in loaded], manifests)
     if args.out_csv:
-        with open(args.out_csv, "w", encoding="utf-8") as fh:
-            fh.write(render_matrix_csv(matrix))
+        write_atomic(args.out_csv, render_matrix_csv(matrix))
         log.info("wrote %s", args.out_csv)
     if not args.json:
         sys.stdout.write(render_matrix_csv(matrix))

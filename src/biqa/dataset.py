@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .png_io import PngError, read_png
+from .png_io import PngError, read_png, write_atomic
 from .rng import SplitMix64
 
 
@@ -190,7 +190,5 @@ def write_manifest_csv(
     path: str, rows: list[tuple[str, str, float]]
 ) -> None:
     """Write a `id,image_path,mos` CSV (UTF-8, `.` decimal separator)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("id,image_path,mos\n")
-        for rid, img_path, mos in rows:
-            fh.write(f"{rid},{img_path},{mos!r}\n")
+    body = "".join(f"{rid},{img_path},{mos!r}\n" for rid, img_path, mos in rows)
+    write_atomic(path, "id,image_path,mos\n" + body)

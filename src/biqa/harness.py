@@ -11,8 +11,9 @@ content-addressed (the first 12 hex chars of the file's sha256 appear in
 its name) and recorded in state.json per stage together with a signature
 over that stage's configuration and input hashes. A stage is recorded only
 after all its artifacts are in place, so a run interrupted mid-stage
-rebuilds that stage on resume. Reports, summary.json and state.json land
-through a temp file and a rename, so none is ever half-written. A rerun
+rebuilds that stage on resume. Every file (images, dataset CSVs, models,
+pair manifests, reports and state) lands through png_io.write_atomic, a
+temp file and a rename, so none is ever half-written. A rerun
 with an unchanged signature verifies each recorded artifact once and
 reuses it; a hash mismatch on a recorded artifact is refused rather than
 silently recomputed (--force rebuilds). Every RNG stream is derived from
@@ -42,6 +43,7 @@ from .metrics import (
     render_matrix_csv,
     srcc,
 )
+from .png_io import write_atomic
 from .pseudolabel import (
     SCORE_BATCH,
     EnsembleSnapshot,
@@ -102,14 +104,6 @@ def _json_text(obj) -> str:
 def _read_json(path: str):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def _write_atomic(path: str, text: str) -> None:
-    """Write through path + ".tmp" and a rename, so path is never half-written."""
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def signature_of(payload: dict) -> str:
@@ -255,7 +249,7 @@ def reference_config(master_seed: int = 42) -> ExperimentConfig:
 
 
 def save_config(config: ExperimentConfig, path: str) -> None:
-    _write_atomic(path, _json_text(config.to_dict()))
+    write_atomic(path, _json_text(config.to_dict()))
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -281,7 +275,7 @@ class ExperimentState:
         return ExperimentState(out_dir, data)
 
     def save(self) -> None:
-        _write_atomic(self.path, _json_text(self.data))
+        write_atomic(self.path, _json_text(self.data))
 
     def stage(self, name: str) -> dict | None:
         return self.data["stages"].get(name)
@@ -539,6 +533,7 @@ class ExperimentRunner:
             for tag, n in units:
                 full = manifests_by_tag[tag]
                 manifest = replace(full, n_pairs=n, samples=full.samples[:n])
+                # the final name holds the CSV's digest: save, hash, then rename
                 tmp = os.path.join(self.out_dir, "pairs", f".tmp-{tag}-n{n}.csv")
                 save_pair_manifest(manifest, tmp)
                 digest = sha256_file(tmp)
@@ -631,7 +626,7 @@ class ExperimentRunner:
 
     def _write_report(self, filename: str, text: str) -> dict:
         rel = f"reports/{filename}"
-        _write_atomic(os.path.join(self.out_dir, rel), text)
+        write_atomic(os.path.join(self.out_dir, rel), text)
         return {"path": rel, "sha256": sha256_bytes(text.encode("utf-8"))}
 
     def _reference_cdr_key(self) -> str:
@@ -814,6 +809,6 @@ class ExperimentRunner:
             "ablation_ensemble": ensemble_table,
         }
         path = os.path.join(self.out_dir, "summary.json")
-        _write_atomic(path, _json_text(summary))
+        write_atomic(path, _json_text(summary))
         log.info("experiment complete: %s", path)
         return summary

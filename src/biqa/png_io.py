@@ -1,21 +1,25 @@
-"""Minimal PNG reader/writer for grayscale and RGB images.
+"""Minimal PNG reader/writer for grayscale and RGB images, plus write_atomic.
 
-Supports bit depth 8 or 16, color type 0 (grayscale) or 2 (RGB), no
-interlacing. Pixels are exchanged as float64 in [0, 1]; integer samples
-are divided by the maximum value of the bit depth on read and written
-back with round-to-nearest. The writer always emits filter type 0 and a
-fixed zlib level, so identical arrays produce identical files; the reader
-understands all five scanline filters.
+Color type 0 (grayscale) or 2 (RGB), no interlacing. Pixels are exchanged
+as float64 in [0, 1]; integer samples are divided by the maximum value of
+the bit depth on read and written back with round-to-nearest. The reader
+takes bit depth 8 or 16 and all five scanline filters, as PNGs made
+elsewhere may use them; the writer always emits 16 bits, filter type 0 and
+a fixed zlib level, so identical arrays produce identical files.
+
+write_atomic is the one way biqa writes a file: a temp file, then a rename.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 
 import numpy as np
 
 _SIGNATURE = b"\x89PNG\r\n\x1a\n"
+_WRITE_DEPTH = 16
 
 
 class PngError(Exception):
@@ -31,10 +35,21 @@ def _chunk(kind: bytes, data: bytes) -> bytes:
     )
 
 
-def write_png(path: str, pixels: np.ndarray, bit_depth: int = 16) -> None:
+def write_atomic(path: str, data: bytes | str) -> None:
+    """Write data through path + ".tmp" and a rename; no fsync.
+
+    A str is encoded as UTF-8 and its newlines are not translated.
+    """
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+    os.replace(tmp, path)
+
+
+def write_png(path: str, pixels: np.ndarray) -> None:
     """Write a (H, W), (H, W, 1) or (H, W, 3) float array in [0, 1] as PNG."""
-    if bit_depth not in (8, 16):
-        raise PngError(f"unsupported bit depth {bit_depth}")
     arr = np.asarray(pixels, dtype=np.float64)
     if arr.ndim == 3 and arr.shape[2] == 1:
         arr = arr[:, :, 0]
@@ -44,10 +59,8 @@ def write_png(path: str, pixels: np.ndarray, bit_depth: int = 16) -> None:
         color_type = 2
     else:
         raise PngError(f"unsupported pixel shape {arr.shape}")
-    maxval = (1 << bit_depth) - 1
-    quant = np.clip(np.rint(arr * maxval), 0, maxval)
-    dtype = np.dtype(">u2") if bit_depth == 16 else np.dtype("u1")
-    raw = quant.astype(dtype)
+    maxval = (1 << _WRITE_DEPTH) - 1
+    raw = np.clip(np.rint(arr * maxval), 0, maxval).astype(">u2")
 
     height, width = raw.shape[:2]
     rows = raw.reshape(height, -1).view(np.uint8).reshape(height, -1)
@@ -55,12 +68,9 @@ def write_png(path: str, pixels: np.ndarray, bit_depth: int = 16) -> None:
     lines[:, 1:] = rows  # column 0 is each scanline's filter byte, type 0
     scanlines = lines.tobytes()
 
-    ihdr = struct.pack(">IIBBBBB", width, height, bit_depth, color_type, 0, 0, 0)
-    with open(path, "wb") as fh:
-        fh.write(_SIGNATURE)
-        fh.write(_chunk(b"IHDR", ihdr))
-        fh.write(_chunk(b"IDAT", zlib.compress(scanlines, 6)))
-        fh.write(_chunk(b"IEND", b""))
+    ihdr = struct.pack(">IIBBBBB", width, height, _WRITE_DEPTH, color_type, 0, 0, 0)
+    body = _chunk(b"IHDR", ihdr) + _chunk(b"IDAT", zlib.compress(scanlines, 6))
+    write_atomic(path, _SIGNATURE + body + _chunk(b"IEND", b""))
 
 
 def read_png(path: str) -> np.ndarray:

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DatasetError, DatasetManifest, ImageRecord
+from .png_io import write_atomic
 from .rng import derive_seed, mix64_block
 from .scorer import ScorerParams, forward_batch, load_params, params_digest
 from .trainer import stable_sigmoid
@@ -309,16 +310,16 @@ def save_pair_manifest(manifest: PairManifest, csv_path: str) -> None:
         if with_models:
             row += "".join(f",{p!r}" for p in s.per_model)
         lines.append(row)
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(csv_path, "\n".join(lines) + "\n")
     sidecar = {
         "pool": manifest.pool,
         "n_pairs": manifest.n_pairs,
         "seed": manifest.seed,
         "ensemble": manifest.ensemble,
     }
-    with open(_sidecar_path(csv_path), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(sidecar, sort_keys=True, indent=1) + "\n")
+    write_atomic(
+        _sidecar_path(csv_path), json.dumps(sidecar, sort_keys=True, indent=1) + "\n"
+    )
 
 
 def load_pair_manifest(csv_path: str) -> PairManifest:

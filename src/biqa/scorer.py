@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import os
 import struct
 import zlib
 from dataclasses import asdict, dataclass, field
@@ -24,6 +23,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .dataset import ImageRecord, sample_patches
+from .png_io import write_atomic
 from .rng import SplitMix64
 
 _MAGIC = b"BIQS"
@@ -355,10 +355,7 @@ def params_digest(params: ScorerParams) -> str:
 
 
 def save_params(params: ScorerParams, path: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(serialize_params(params))
-    os.replace(tmp, path)
+    write_atomic(path, serialize_params(params))
 
 
 def load_params(path: str) -> ScorerParams:

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .dataset import DatasetManifest, ImageRecord, write_manifest_csv
-from .png_io import write_png
+from .png_io import write_atomic, write_png
 from .rng import SplitMix64, derive_seed, spawn
 
 KINDS = ("gaussian_blur", "additive_noise", "contrast_reduction")
@@ -238,12 +238,8 @@ def gen_biased_dataset(
         truth.qstar[rid] = qstar
         rows.append((rid, rel_path, label))
     write_manifest_csv(os.path.join(out_dir, f"{config.name}.csv"), rows)
-    with open(
-        os.path.join(out_dir, f"{config.name}.truth.csv"), "w", encoding="utf-8"
-    ) as fh:
-        fh.write("id,qstar\n")
-        for rid, _, _ in rows:
-            fh.write(f"{rid},{truth.qstar[rid]!r}\n")
+    body = "".join(f"{rid},{truth.qstar[rid]!r}\n" for rid, _, _ in rows)
+    write_atomic(os.path.join(out_dir, f"{config.name}.truth.csv"), "id,qstar\n" + body)
     manifest = DatasetManifest(name=config.name, records=records, labels=labels)
     return manifest, truth
 

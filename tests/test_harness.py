@@ -315,7 +315,15 @@ def test_run_interrupted_before_a_stage_is_recorded_resumes_to_same_bytes(
 
 
 @pytest.mark.parametrize(
-    "target", ["state.json", "reports/cross-eval.json", "summary.json"]
+    "target",
+    [
+        "state.json",
+        "reports/cross-eval.json",
+        "summary.json",
+        "data/pool/0000.png",
+        "data/blurs.csv",
+        "data/noises.truth.csv",
+    ],
 )
 def test_write_interrupted_after_its_temp_file_resumes_to_same_bytes(
     tiny_run, tmp_path, monkeypatch, target

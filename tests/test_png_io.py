@@ -1,10 +1,11 @@
+import os
 import struct
 import zlib
 
 import numpy as np
 import pytest
 
-from biqa.png_io import PngError, read_png, write_png
+from biqa.png_io import PngError, read_png, write_atomic, write_png
 from biqa.rng import SplitMix64
 
 
@@ -18,13 +19,13 @@ def test_roundtrip_gray16(tmp_path):
     assert np.abs(back - img).max() <= 0.5 / 65535 + 1e-12
 
 
-def test_roundtrip_rgb8(tmp_path):
+def test_roundtrip_rgb16(tmp_path):
     img = SplitMix64(2).uniform_block(10 * 12 * 3).reshape(10, 12, 3)
     path = str(tmp_path / "c.png")
-    write_png(path, img, bit_depth=8)
+    write_png(path, img)
     back = read_png(path)
     assert back.shape == (10, 12, 3)
-    assert np.abs(back - img).max() <= 0.5 / 255 + 1e-12
+    assert np.abs(back - img).max() <= 0.5 / 65535 + 1e-12
 
 
 def test_quantization_is_exact_fixed_point(tmp_path):
@@ -63,8 +64,10 @@ def test_rejects_bad_shapes_and_depths(tmp_path):
     path = str(tmp_path / "bad.png")
     with pytest.raises(PngError):
         write_png(path, np.zeros((4, 4, 2)))
-    with pytest.raises(PngError):
-        write_png(path, np.zeros((4, 4)), bit_depth=12)
+    with open(path, "wb") as fh:
+        fh.write(_png_with_filters(2, 1, [(0, [0x12])], bit_depth=4))
+    with pytest.raises(PngError, match="bit depth 4"):
+        read_png(path)
 
 
 def test_rejects_non_png(tmp_path):
@@ -92,9 +95,9 @@ def _chunk(kind: bytes, data: bytes) -> bytes:
     )
 
 
-def _png_with_filters(width, height, rows_with_filters, bit_depth=8):
-    """Assemble a grayscale PNG whose scanlines use explicit filter types."""
-    ihdr = struct.pack(">IIBBBBB", width, height, bit_depth, 0, 0, 0, 0)
+def _png_with_filters(width, height, rows_with_filters, bit_depth=8, color_type=0):
+    """Assemble a PNG whose scanlines use explicit filter types."""
+    ihdr = struct.pack(">IIBBBBB", width, height, bit_depth, color_type, 0, 0, 0)
     scan = b"".join(bytes([f]) + bytes(row) for f, row in rows_with_filters)
     return (
         b"\x89PNG\r\n\x1a\n"
@@ -144,6 +147,22 @@ def test_reader_handles_all_filter_types(tmp_path):
     assert list(img[4]) == r4
 
 
+def test_reader_reads_rgb8(tmp_path):
+    # 8-bit RGB comes only from outside PNGs; sub filters by whole pixels
+    rows = [
+        (0, [10, 20, 30, 40, 50, 60]),
+        (1, [1, 2, 3, 4, 5, 6]),  # sub, bpp 3: 1, 2, 3, 5, 7, 9
+    ]
+    path = tmp_path / "rgb8.png"
+    path.write_bytes(_png_with_filters(2, 2, rows, color_type=2))
+    img = read_png(str(path))
+    assert img.shape == (2, 2, 3)
+    assert np.rint(img * 255).astype(int).tolist() == [
+        [[10, 20, 30], [40, 50, 60]],
+        [[1, 2, 3], [5, 7, 9]],
+    ]
+
+
 def test_reader_unfilters_a_late_row_after_unfiltered_rows(tmp_path):
     # only the last scanline is filtered, so a check of the first filter
     # byte alone would return it raw
@@ -178,3 +197,24 @@ def test_writer_bytes_match_per_row_scanlines(tmp_path):
         + _chunk(b"IEND", b"")
     )
     assert path.read_bytes() == expected
+
+
+def test_write_atomic_keeps_old_bytes_when_the_rename_fails(tmp_path, monkeypatch):
+    path = tmp_path / "f.bin"
+    write_atomic(str(path), b"old")
+
+    def fail(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="rename failed"):
+        write_atomic(str(path), b"new")
+    assert path.read_bytes() == b"old"
+    assert (tmp_path / "f.bin.tmp").read_bytes() == b"new"
+
+
+def test_write_atomic_str_is_utf8_with_bare_newlines(tmp_path):
+    path = tmp_path / "t.csv"
+    write_atomic(str(path), "id,q\nbl\u00fcr,0.5\n")
+    assert path.read_bytes() == b"id,q\nbl\xc3\xbcr,0.5\n"
+    assert not (tmp_path / "t.csv.tmp").exists()
