@@ -29,6 +29,7 @@ import hashlib
 import json
 import logging
 import os
+import shutil
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
@@ -426,6 +427,12 @@ class ExperimentRunner:
 
         def build() -> dict:
             log.info("stage data: generating %d image sets", len(all_configs))
+            # images:<name> hashes every file in data/<name>/, so files left by
+            # an earlier, larger config must not survive into this one
+            for c in all_configs:
+                image_dir = os.path.join(data_dir, c.name)
+                if os.path.isdir(image_dir):
+                    shutil.rmtree(image_dir)
             self._map(lambda c: gen_biased_dataset(c, data_dir), all_configs)
             outputs = {}
             for c in all_configs:

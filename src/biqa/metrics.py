@@ -102,9 +102,14 @@ def logistic_map(s_hat, betas: LogisticParams):
     return out if out.ndim else float(out)
 
 
-def _sse(preds: np.ndarray, mos: np.ndarray, betas: LogisticParams) -> float:
-    r = logistic_map(preds, betas) - mos
-    return float(r @ r)
+def _logistic_terms(
+    x: np.ndarray, y: np.ndarray, beta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Sigmoid, residual and SSE of the remap at a beta array; the residual
+    takes logistic_map's operations in its order, so it has the same bits."""
+    sig = np.asarray(stable_sigmoid(beta[1] * (x - beta[2])))
+    residual = beta[0] * (sig - 0.5) + beta[3] * x + beta[4] - y
+    return sig, residual, float(residual @ residual)
 
 
 def _affine_fit(preds: np.ndarray, mos: np.ndarray) -> LogisticParams:
@@ -128,7 +133,7 @@ def fit_logistic(preds, mos) -> LogisticParams:
     if sx == 0.0:
         raise MetricError("fit_logistic: zero variance in predictions")
     affine = _affine_fit(x, y)
-    sse_affine = _sse(x, y, affine)
+    sse_affine = _logistic_terms(x, y, affine.as_array())[2]
     if float(y.std()) == 0.0:
         return affine
     sign = 1.0 if pearson(x, y) >= 0.0 else -1.0
@@ -141,30 +146,40 @@ def fit_logistic(preds, mos) -> LogisticParams:
             float(y.mean()),
         ]
     )
-    sse = _sse(x, y, LogisticParams(*beta))
+    sig, residual, sse = _logistic_terms(x, y, beta)
     lam = LM_LAMBDA0
+    moved = True
     for _ in range(LM_MAX_ITER):
-        b1, b2, b3 = beta[0], beta[1], beta[2]
-        sig = np.asarray(stable_sigmoid(b2 * (x - b3)))
-        slope = sig * (1.0 - sig)
-        jac = np.stack(
-            [sig - 0.5, b1 * slope * (x - b3), -b1 * slope * b2, x, np.ones_like(x)],
-            axis=1,
-        )
-        residual = logistic_map(x, LogisticParams(*beta)) - y
-        hess = jac.T @ jac
-        grad = jac.T @ residual
-        damped = hess + lam * np.diag(np.maximum(np.diag(hess), 1e-12))
+        if moved:
+            # the normal equations depend on beta only; a rejected step
+            # changes lam alone, so they are rebuilt only after beta moves
+            b1, b2, b3 = beta[0], beta[1], beta[2]
+            slope = sig * (1.0 - sig)
+            jac = np.stack(
+                [
+                    sig - 0.5,
+                    b1 * slope * (x - b3),
+                    -b1 * slope * b2,
+                    x,
+                    np.ones_like(x),
+                ],
+                axis=1,
+            )
+            hess = jac.T @ jac
+            neg_grad = -(jac.T @ residual)
+            damping = np.diag(np.maximum(np.diag(hess), 1e-12))
+            moved = False
         try:
-            delta = np.linalg.solve(damped, -grad)
+            delta = np.linalg.solve(hess + lam * damping, neg_grad)
         except np.linalg.LinAlgError:
             lam *= 10.0
             continue
         trial = beta + delta
-        sse_trial = _sse(x, y, LogisticParams(*trial))
+        trial_sig, trial_residual, sse_trial = _logistic_terms(x, y, trial)
         if np.isfinite(sse_trial) and sse_trial < sse:
             improved = (sse - sse_trial) / max(sse, 1e-300)
             beta, sse = trial, sse_trial
+            sig, residual, moved = trial_sig, trial_residual, True
             lam = max(lam / 10.0, 1e-15)
             if improved < LM_REL_TOL:
                 break

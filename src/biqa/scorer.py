@@ -243,7 +243,8 @@ def forward_batch(
             b, geo["out_size"] ** 2, 9 * cin
         )
         w = params.tensor(f"conv{i}_w").reshape(9 * cin, cout)
-        pre = cols @ w + params.tensor(f"conv{i}_b")
+        pre = cols @ w
+        pre += params.tensor(f"conv{i}_b")
         conv_cols.append(cols)
         conv_pre.append(pre)
         current = np.maximum(pre, 0.0).reshape(
@@ -291,7 +292,9 @@ def backward(
     geometry = _conv_geometry(config)
     b = trace.batch
     n_last = geometry[-1]["out_size"] ** 2
-    d_post = np.repeat(d_gap[:, None, :] / n_last, n_last, axis=1)
+    # every position of the last map gets the same share of d_gap; the ReLU
+    # mask product below broadcasts it over the positions
+    d_post = (d_gap / n_last)[:, None, :]
     channel_in = [config.channels_in] + list(config.conv_channels[:-1])
     for i in range(len(config.conv_channels) - 1, -1, -1):
         geo = geometry[i]
@@ -305,7 +308,7 @@ def backward(
         if i == 0:
             break
         w = params.tensor(f"conv{i}_w").reshape(9 * cin, cout)
-        d_cols = d_pre @ w.T
+        d_cols = d_pre.reshape(-1, cout) @ w.T
         # col2im: bincount adds each bin's weights in input order, so every
         # (pixel, channel) sum runs over its taps in (position, tap) order
         n_in = geo["in_size"] ** 2 * cin

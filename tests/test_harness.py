@@ -345,3 +345,18 @@ def test_write_interrupted_after_its_temp_file_resumes_to_same_bytes(
     monkeypatch.undo()
     assert os.path.exists(dest + ".tmp") and not os.path.exists(dest)
     _resume_matches_clean_run(out, work)
+
+
+def test_data_stage_drops_images_of_an_earlier_larger_pool(tmp_path):
+    def data_run(out, pool_images):
+        cfg = _tiny_config()
+        cfg.pool = replace(cfg.pool, n_images=pool_images)
+        ExperimentRunner(cfg, out, threads=1).run_data()
+        entry = ExperimentState.load(out).stage("data")["outputs"]["images:pool"]
+        return entry["sha256"], sorted(os.listdir(os.path.join(out, "data", "pool")))
+
+    reused, clean = str(tmp_path / "reused"), str(tmp_path / "clean")
+    assert len(data_run(reused, 18)[1]) == 18
+    fresh = data_run(clean, 14)
+    assert len(fresh[1]) == 14
+    assert data_run(reused, 14) == fresh

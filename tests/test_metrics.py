@@ -5,6 +5,9 @@ import pytest
 
 from biqa.dataset import DatasetManifest, ImageRecord
 from biqa.metrics import (
+    LM_LAMBDA0,
+    LM_MAX_ITER,
+    LM_REL_TOL,
     LogisticParams,
     MetricError,
     ScoredModel,
@@ -21,6 +24,7 @@ from biqa.metrics import (
     srcc,
 )
 from biqa.rng import SplitMix64
+from biqa.trainer import stable_sigmoid
 
 
 def test_rank_average_basic_and_ties():
@@ -133,6 +137,106 @@ def test_fit_logistic_validation():
         fit_logistic([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0])
     with pytest.raises(MetricError, match="zero variance"):
         fit_logistic([1.0] * 6, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+
+
+def _reference_fit_logistic(preds, mos):
+    """The LM loop that rebuilds the sigmoid, residual and normal equations
+    on every iteration, the formulation fit_logistic must reproduce bit for
+    bit. Returns (params, how the loop ended, rejected steps)."""
+    x = np.asarray(preds, dtype=np.float64)
+    y = np.asarray(mos, dtype=np.float64)
+
+    def sse_of(betas):
+        r = logistic_map(x, betas) - y
+        return float(r @ r)
+
+    design = np.stack([x, np.ones_like(x)], axis=1)
+    (a, b), *_ = np.linalg.lstsq(design, y, rcond=None)
+    affine = LogisticParams(0.0, 1.0, float(x.mean()), float(a), float(b))
+    if float(y.std()) == 0.0:
+        return affine, "affine", 0
+    sign = 1.0 if pearson(x, y) >= 0.0 else -1.0
+    beta = np.array(
+        [
+            float(y.max() - y.min()),
+            sign * 4.0 / float(x.std()),
+            float(x.mean()),
+            0.0,
+            float(y.mean()),
+        ]
+    )
+    sse = sse_of(LogisticParams(*beta))
+    lam = LM_LAMBDA0
+    ended, rejected = "max_iter", 0
+    for _ in range(LM_MAX_ITER):
+        b1, b2, b3 = beta[0], beta[1], beta[2]
+        sig = np.asarray(stable_sigmoid(b2 * (x - b3)))
+        slope = sig * (1.0 - sig)
+        jac = np.stack(
+            [sig - 0.5, b1 * slope * (x - b3), -b1 * slope * b2, x, np.ones_like(x)],
+            axis=1,
+        )
+        residual = logistic_map(x, LogisticParams(*beta)) - y
+        hess = jac.T @ jac
+        grad = jac.T @ residual
+        damped = hess + lam * np.diag(np.maximum(np.diag(hess), 1e-12))
+        try:
+            delta = np.linalg.solve(damped, -grad)
+        except np.linalg.LinAlgError:
+            lam *= 10.0
+            rejected += 1
+            continue
+        trial = beta + delta
+        sse_trial = sse_of(LogisticParams(*trial))
+        if np.isfinite(sse_trial) and sse_trial < sse:
+            improved = (sse - sse_trial) / max(sse, 1e-300)
+            beta, sse = trial, sse_trial
+            lam = max(lam / 10.0, 1e-15)
+            if improved < LM_REL_TOL:
+                ended = "converged"
+                break
+        else:
+            lam *= 10.0
+            rejected += 1
+            if lam > 1e15:
+                ended = "damping"
+                break
+    if not np.all(np.isfinite(beta)) or sse > sse_of(affine):
+        return affine, "affine", rejected
+    return LogisticParams(*(float(v) for v in beta)), ended, rejected
+
+
+def test_fit_logistic_bit_identical_to_reference():
+    ended, rejected = set(), 0
+    for seed in range(4):
+        for n in (5, 8, 50):
+            rng = SplitMix64(seed)
+            s = rng.uniform_block(n)
+            for y in (
+                rng.uniform_block(n),  # noise
+                logistic_map(s, LogisticParams(2.0, 8.0, 0.5, 0.3, 1.0))
+                + 0.01 * rng.normal_block(n),
+                2.0 * s + 0.001 * rng.normal_block(n),  # nearly affine
+            ):
+                ref, how, rej = _reference_fit_logistic(s, y)
+                assert fit_logistic(s, y).to_list() == ref.to_list(), (seed, n, how)
+                ended.add(how)
+                rejected += rej
+    # the grid reaches every way the loop can end, through rejected steps
+    assert ended == {"converged", "max_iter", "damping", "affine"}
+    assert rejected > 0
+
+
+def test_fit_logistic_five_point_minimum_and_affine_fallback():
+    s = np.array([0.1, 0.4, 0.2, 0.9, 0.6])
+    for y in (np.sqrt(s), np.full(5, 0.3), -s):
+        ref, _, _ = _reference_fit_logistic(s, y)
+        assert fit_logistic(s, y).to_list() == ref.to_list()
+    # constant labels: the affine fit, returned as is
+    const = fit_logistic(s, np.full(5, 0.3))
+    assert const.b1 == 0.0 and const.b2 == 1.0 and const.b4 == pytest.approx(0.0)
+    with pytest.raises(MetricError, match="at least 5"):
+        fit_logistic(s[:4], s[:4])
 
 
 def test_plcc_affine_invariance():

@@ -270,6 +270,41 @@ def test_forward_backward_bit_identical_to_reference(
     assert np.count_nonzero(ScorerParams(cfg, grad).tensor("conv0_w")) > 0
 
 
+def _trace_arrays(trace):
+    return [
+        *trace.conv_cols,
+        *trace.conv_pre,
+        trace.gap,
+        trace.fc1_pre,
+        trace.fc1_post,
+        trace.scores,
+    ]
+
+
+def test_forward_and_backward_leave_their_inputs_unchanged():
+    # forward_batch adds the conv bias in place and backward broadcasts d_gap
+    # over positions: neither may write into params, the trace or a result
+    cfg = ScorerConfig(patch_size=12, channels_in=3, conv_channels=(4, 6, 8), hidden=8)
+    params = init_params(cfg, seed=11)
+    rng = SplitMix64(12)
+    params.values += 0.05 * rng.normal_block(params.values.size)
+    values = params.values.copy()
+    x = rng.uniform_block(5 * 12 * 12 * 3).reshape(5, 12, 12, 3)
+    _, trace = forward_batch(params, x)
+    assert np.array_equal(params.values, values)
+    saved = [a.copy() for a in _trace_arrays(trace)]
+    upstream = rng.normal_block(5)
+    first = backward(trace, params, upstream)
+    # stage 3 calls backward twice on one trace, the second with -upstream
+    opposite = backward(trace, params, -upstream)
+    again = backward(trace, params, upstream)
+    assert np.array_equal(first, again)
+    assert np.array_equal(opposite, -first)
+    assert np.array_equal(params.values, values)
+    for a, b in zip(_trace_arrays(trace), saved, strict=True):
+        assert np.array_equal(a, b)
+
+
 def test_tensor_rejects_unknown_name():
     params = init_params(_cfg(), seed=0)
     with pytest.raises(ScorerError, match="no tensor"):
