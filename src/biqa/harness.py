@@ -31,7 +31,7 @@ import logging
 import os
 import shutil
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -48,7 +48,6 @@ from .png_io import write_atomic
 from .pseudolabel import (
     SCORE_BATCH,
     EnsembleSnapshot,
-    PairManifest,
     build_pair_manifest,
     central_crop_store,
     load_pair_manifest,
@@ -67,7 +66,6 @@ from .scorer import (
 from .synthbench import (
     KINDS,
     BiasedDatasetConfig,
-    GroundTruth,
     gen_biased_dataset,
     load_ground_truth,
 )
@@ -183,6 +181,9 @@ class ExperimentConfig:
             raise HarnessError(
                 f"config schema {d.get('schema')!r}, expected {SCHEMA_VERSION}"
             )
+        unknown = set(d) - {"schema"} - {f.name for f in fields(ExperimentConfig)}
+        if unknown:
+            raise HarnessError(f"unknown experiment config keys: {sorted(unknown)}")
         config = ExperimentConfig(
             master_seed=int(d["master_seed"]),
             datasets=[BiasedDatasetConfig.from_dict(e) for e in d["datasets"]],
@@ -356,7 +357,8 @@ class ExperimentRunner:
         self.manifests: dict[str, DatasetManifest] = {}
         # fixed evaluation crop of every image in every dataset and the pool
         self.crops: dict[str, np.ndarray] = {}
-        self.truths: dict[str, GroundTruth] = {}
+        # every dataset's records labelled with their ground truth q*
+        self.qstar_sets: list[DatasetManifest] = []
         self.s1_models: dict[str, dict] = {}
         self.pair_entries: dict[str, dict] = {}
         self.cdr_models: dict[str, dict] = {}
@@ -449,15 +451,20 @@ class ExperimentRunner:
 
         def load(_outputs: dict) -> None:
             for c in all_configs:
-                self.manifests[c.name] = rescale_mos(
+                manifest = rescale_mos(
                     load_manifest(os.path.join(data_dir, f"{c.name}.csv"))
                 )
-                self.truths[c.name] = load_ground_truth(
-                    os.path.join(data_dir, f"{c.name}.truth.csv")
-                )
+                self.manifests[c.name] = manifest
                 self.crops.update(
-                    central_crop_store(
-                        self.manifests[c.name].records, self.config.scorer.patch_size
+                    central_crop_store(manifest.records, self.config.scorer.patch_size)
+                )
+            for name in self.config.dataset_names:
+                truth = load_ground_truth(os.path.join(data_dir, f"{name}.truth.csv"))
+                self.qstar_sets.append(
+                    DatasetManifest(
+                        name=name,
+                        records=self.manifests[name].records,
+                        labels=dict(truth.qstar),
                     )
                 )
 
@@ -525,37 +532,35 @@ class ExperimentRunner:
             table = score_pool(snapshot, image_ids, self.crops)
             by_name = dict(zip(names, table))
             prov_by_name = dict(zip(names, snapshot.provenance))
-            manifests_by_tag = {}
+            outputs = {}
+            # one ensemble at a time: label its largest rung, write every rung
+            # as a prefix of it, then let it go
             for tag in sorted({tag for tag, _ in units}):
                 members = tag.split("+")
-                manifests_by_tag[tag] = build_pair_manifest(
+                rungs = [n for t, n in units if t == tag]
+                full = build_pair_manifest(
                     pool_manifest.name,
                     image_ids,
                     [by_name[n] for n in members],
                     [prov_by_name[n] for n in members],
-                    max(n for t, n in units if t == tag),
+                    max(rungs),
                     pairs_seed,
                 )
-            outputs = {}
-            for tag, n in units:
-                full = manifests_by_tag[tag]
-                manifest = replace(full, n_pairs=n, samples=full.samples[:n])
-                # the final name holds the CSV's digest: save, hash, then rename
-                tmp = os.path.join(self.out_dir, "pairs", f".tmp-{tag}-n{n}.csv")
-                save_pair_manifest(manifest, tmp)
-                digest = sha256_file(tmp)
-                rel = f"pairs/pairs-{tag}-n{n}-{digest[:12]}"
-                os.replace(tmp, os.path.join(self.out_dir, rel + ".csv"))
-                os.replace(
-                    tmp[: -len(".csv")] + ".json",
-                    os.path.join(self.out_dir, rel + ".json"),
-                )
-                key = f"{tag}:n{n}"
-                outputs[f"pairs:{key}"] = {"path": rel + ".csv", "sha256": digest}
-                outputs[f"pairs-meta:{key}"] = {
-                    "path": rel + ".json",
-                    "sha256": sha256_file(os.path.join(self.out_dir, rel + ".json")),
-                }
+                for n in rungs:
+                    # the final names hold the CSV's digest: save, hash, rename
+                    tmp = os.path.join(self.out_dir, "pairs", f".tmp-{tag}-n{n}")
+                    rung = replace(full, n_pairs=n, samples=full.samples[:n])
+                    save_pair_manifest(rung, tmp + ".csv")
+                    digest = sha256_file(tmp + ".csv")
+                    rel = f"pairs/pairs-{tag}-n{n}-{digest[:12]}"
+                    for ext in (".csv", ".json"):
+                        os.replace(tmp + ext, os.path.join(self.out_dir, rel + ext))
+                    key = f"{tag}:n{n}"
+                    outputs[f"pairs:{key}"] = {"path": rel + ".csv", "sha256": digest}
+                    outputs[f"pairs-meta:{key}"] = {
+                        "path": rel + ".json",
+                        "sha256": sha256_file(os.path.join(self.out_dir, rel + ".json")),
+                    }
             return outputs
 
         payload = {
@@ -574,10 +579,6 @@ class ExperimentRunner:
         )
         return self.pair_entries
 
-    def _load_pairs(self, key: str) -> PairManifest:
-        entry = self.pair_entries[key]
-        return load_pair_manifest(os.path.join(self.out_dir, entry["path"]))
-
     def run_stage3(self) -> dict[str, dict]:
         self.run_stage2()
         config = self.config
@@ -592,9 +593,10 @@ class ExperimentRunner:
                 config.stage3,
                 seed=derive_seed(config.master_seed, "train3", tag, f"n{n}"),
             )
-            params = train_pairwise(
-                self._load_pairs(key), self.crops, config.scorer, tcfg
+            pairs = load_pair_manifest(
+                os.path.join(self.out_dir, self.pair_entries[key]["path"])
             )
+            params = train_pairwise(pairs, self.crops, config.scorer, tcfg)
             params.meta = {
                 "trained_on": config.pool.name,
                 "ensemble": tag,
@@ -636,49 +638,13 @@ class ExperimentRunner:
         write_atomic(os.path.join(self.out_dir, rel), text)
         return {"path": rel, "sha256": sha256_bytes(text.encode("utf-8"))}
 
-    def _reference_cdr_key(self) -> str:
-        return f"{self.config.full_tag}:n{self.config.pair_ladder[-1]}"
-
-    def _qstar_manifests(self) -> list[DatasetManifest]:
-        return [
-            DatasetManifest(
-                name=n,
-                records=self.manifests[n].records,
-                labels=dict(self.truths[n].qstar),
-            )
-            for n in self.config.dataset_names
-        ]
-
-    def _labeled_manifests(self) -> list[DatasetManifest]:
-        return [self.manifests[n] for n in self.config.dataset_names]
-
-    def _model_rows(self) -> list[ScoredModel]:
-        rows = [
-            ScoredModel(
-                name=f"s1-{name}",
-                trained_on=name,
-                score_fn=crop_scorer(self.s1_models[name]["params"], self.crops),
-            )
-            for name in self.config.dataset_names
-        ]
-        cdr = self.cdr_models[self._reference_cdr_key()]
-        rows.append(
-            ScoredModel(
-                name="cdr",
-                trained_on=self.config.pool.name,
-                score_fn=crop_scorer(cdr["params"], self.crops),
-            )
-        )
-        return rows
-
     def _mean_srcc(self, params: ScorerParams) -> dict:
         """Mean ground-truth SRCC of one model across all datasets."""
         fn = crop_scorer(params, self.crops)
-        per_dataset = {}
-        for manifest in self._qstar_manifests():
-            preds = fn(manifest.records)
-            truth = [manifest.labels[r.id] for r in manifest.records]
-            per_dataset[manifest.name] = srcc(preds, truth)
+        per_dataset = {
+            m.name: srcc(fn(m.records), [m.labels[r.id] for r in m.records])
+            for m in self.qstar_sets
+        }
         return {
             "per_dataset": per_dataset,
             "mean_srcc": float(np.mean(list(per_dataset.values()))),
@@ -688,29 +654,31 @@ class ExperimentRunner:
         self.run_stage3()
         config = self.config
         names = config.dataset_names
-        cdr_hash = self.cdr_models[self._reference_cdr_key()]["sha256"]
+        cdr = self.cdr_models[f"{config.full_tag}:n{config.pair_ladder[-1]}"]
+        # (row name, trained on, model entry): each stage-1 model, then the CDR
+        entries = [(f"s1-{n}", n, self.s1_models[n]) for n in names]
+        entries.append(("cdr", config.pool.name, cdr))
 
         def build() -> dict:
             log.info("cross-eval: scoring %d models on %d datasets",
-                     len(names) + 1, len(names))
-            rows = self._model_rows()
-            vs_qstar = cross_dataset_matrix(rows, self._qstar_manifests())
-            vs_labels = cross_dataset_matrix(rows, self._labeled_manifests())
-            qstar_all = {}
-            for name in names:
-                qstar_all.update(self.truths[name].qstar)
+                     len(entries), len(names))
+            rows = [
+                ScoredModel(name, trained_on, crop_scorer(entry["params"], self.crops))
+                for name, trained_on, entry in entries
+            ]
+            vs_qstar = cross_dataset_matrix(rows, self.qstar_sets)
+            vs_labels = cross_dataset_matrix(rows, [self.manifests[n] for n in names])
+            qstar_all = {i: q for m in self.qstar_sets for i, q in m.labels.items()}
             oracle = ScoredModel(
                 name="oracle",
                 trained_on="ground-truth",
                 score_fn=lambda records: np.array([qstar_all[r.id] for r in records]),
             )
-            oracle_row = cross_dataset_matrix([oracle], self._qstar_manifests())[0]
-            model_hashes = {f"s1-{n}": self.s1_models[n]["sha256"] for n in names}
-            model_hashes["cdr"] = cdr_hash
+            oracle_row = cross_dataset_matrix([oracle], self.qstar_sets)[0]
             report = {
                 "schema": SCHEMA_VERSION,
                 "inputs": {
-                    "models": model_hashes,
+                    "models": {name: entry["sha256"] for name, _, entry in entries},
                     "datasets": {n: self._dataset_digest(n) for n in names},
                 },
                 "vs_qstar": matrix_to_json(vs_qstar),
@@ -728,7 +696,7 @@ class ExperimentRunner:
                 ),
             }
 
-        models = {n: self.s1_models[n]["sha256"] for n in names} | {"cdr": cdr_hash}
+        models = {n: self.s1_models[n]["sha256"] for n in names} | {"cdr": cdr["sha256"]}
         return self._report("cross-eval", models, build)
 
     def _aggregates(self, vs_qstar: list[list[EvalReport]]) -> dict:
@@ -749,47 +717,40 @@ class ExperimentRunner:
                 out["cdr"] = {"mean_srcc": mean_all, "per_dataset": cells}
         return out
 
-    def run_ablation_paircount(self) -> dict:
+    def _ablation(self, axis: str, header: dict, table: str, rows: list) -> dict:
+        """Stage ablate-<axis>: reports/ablation-<axis>.json, the header plus
+        a table of stage-3 models.
+
+        rows holds (signature key, model key, row fields); a table row is
+        its fields, the model's hash and its mean ground-truth SRCC.
+        """
         self.run_stage3()
-        config = self.config
-        keys = [f"{config.full_tag}:n{n}" for n in config.pair_ladder]
+        models = {sig: self.cdr_models[key] for sig, key, _ in rows}
 
         def build() -> dict:
-            rungs = [
-                {"n_pairs": n, "model": self.cdr_models[key]["sha256"]}
-                | self._mean_srcc(self.cdr_models[key]["params"])
-                for n, key in zip(config.pair_ladder, keys)
+            entries = [
+                row_fields | {"model": models[sig]["sha256"]}
+                | self._mean_srcc(models[sig]["params"])
+                for sig, _, row_fields in rows
             ]
-            report = {
-                "schema": SCHEMA_VERSION,
-                "ensemble": config.full_tag,
-                "rungs": rungs,
-            }
-            return {"report": self._write_report("ablation-pairs.json", _json_text(report))}
+            report = {"schema": SCHEMA_VERSION} | header | {table: entries}
+            text = _json_text(report)
+            return {"report": self._write_report(f"ablation-{axis}.json", text)}
 
-        models = {k: self.cdr_models[k]["sha256"] for k in keys}
-        return self._report("ablate-pairs", models, build)
+        hashes = {sig: m["sha256"] for sig, m in models.items()}
+        return self._report(f"ablate-{axis}", hashes, build)
+
+    def run_ablation_paircount(self) -> dict:
+        tag = self.config.full_tag
+        keys = [(n, f"{tag}:n{n}") for n in self.config.pair_ladder]
+        rows = [(key, key, {"n_pairs": n}) for n, key in keys]
+        return self._ablation("pairs", {"ensemble": tag}, "rungs", rows)
 
     def run_ablation_ensemble(self) -> dict:
-        self.run_stage3()
-        config = self.config
-        n_max = config.pair_ladder[-1]
-        tags = [subset_tag(s) for s in config.ensemble_subsets]
-
-        def build() -> dict:
-            subsets = [
-                {"subset": list(subset), "tag": tag,
-                 "model": self.cdr_models[f"{tag}:n{n_max}"]["sha256"]}
-                | self._mean_srcc(self.cdr_models[f"{tag}:n{n_max}"]["params"])
-                for subset, tag in zip(config.ensemble_subsets, tags)
-            ]
-            report = {"schema": SCHEMA_VERSION, "n_pairs": n_max, "subsets": subsets}
-            return {
-                "report": self._write_report("ablation-ensemble.json", _json_text(report))
-            }
-
-        models = {t: self.cdr_models[f"{t}:n{n_max}"]["sha256"] for t in tags}
-        return self._report("ablate-ensemble", models, build)
+        n_max = self.config.pair_ladder[-1]
+        tags = [(s, subset_tag(s)) for s in self.config.ensemble_subsets]
+        rows = [(t, f"{t}:n{n_max}", {"subset": list(s), "tag": t}) for s, t in tags]
+        return self._ablation("ensemble", {"n_pairs": n_max}, "subsets", rows)
 
     def run_all(self) -> dict:
         cross = self.run_cross_eval()

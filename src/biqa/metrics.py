@@ -3,8 +3,15 @@
 SRCC is Pearson correlation of average ranks (tie-aware; identical to the
 classical 1 - 6*sum(d^2)/(N(N^2-1)) form whenever no ties exist). PLCC is
 Pearson correlation after remapping predictions through a five-parameter
-monotone logistic curve fitted by damped Gauss-Newton, which removes the
-arbitrary nonlinearity between a model's score scale and the label scale.
+curve, a logistic plus a linear term (b1..b5), fitted by damped
+Gauss-Newton, which removes the arbitrary nonlinearity between a model's
+score scale and the label scale.
+
+The remap is not constrained to increase: the logistic slope starts with
+the sign of Pearson's r and the linear term b4 is free. An inverted model
+therefore gets a decreasing remap and a positive PLCC (about |r|), while
+its SRCC stays negative; test_plcc_handles_anticorrelated_scores pins
+this. A PLCC that keeps the sign of the correlation is an open item.
 
 Also provides the repeated-split evaluation protocol (k random 80/20
 splits, median of each metric taken independently) and full cross-dataset
@@ -37,15 +44,13 @@ def rank_average(x) -> np.ndarray:
     """Fractional ranks (1-based); tied values share their average rank."""
     a = np.asarray(x, dtype=np.float64)
     order = np.argsort(a, kind="mergesort")
-    ranks = np.empty(a.size)
     sorted_vals = a[order]
-    i = 0
-    while i < a.size:
-        j = i
-        while j + 1 < a.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # a group of equal values starts wherever the sorted value changes;
+    # NaN != NaN, so each NaN is a group of its own
+    starts = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])
+    ends = np.r_[starts[1:], a.size] - 1
+    ranks = np.empty(a.size)
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     return ranks
 
 
@@ -193,7 +198,9 @@ def fit_logistic(preds, mos) -> LogisticParams:
 
 
 def plcc(preds, mos) -> tuple[float, LogisticParams]:
-    """Pearson correlation after the fitted logistic remap."""
+    """Pearson correlation after the fitted remap. The remap may decrease
+    (module docstring), so plcc(-x, y) equals plcc(x, y) up to the fit's
+    tolerance: an inverted model scores a positive PLCC."""
     betas = fit_logistic(preds, mos)
     return pearson(logistic_map(np.asarray(preds, dtype=np.float64), betas), mos), betas
 

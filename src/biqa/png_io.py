@@ -48,9 +48,14 @@ def write_atomic(path: str, data: bytes | str) -> None:
     os.replace(tmp, path)
 
 
-def write_png(path: str, pixels: np.ndarray) -> None:
-    """Write a (H, W), (H, W, 1) or (H, W, 3) float array in [0, 1] as PNG."""
+def write_png(path: str, pixels: np.ndarray) -> np.ndarray:
+    """Write a (H, W), (H, W, 1) or (H, W, 3) float array in [0, 1] as PNG.
+
+    Returns what read_png gives back for the file, as float64 in the
+    input's shape: each value clipped to [0, 1] and rounded to 16 bits.
+    """
     arr = np.asarray(pixels, dtype=np.float64)
+    shape = arr.shape
     if arr.ndim == 3 and arr.shape[2] == 1:
         arr = arr[:, :, 0]
     if arr.ndim == 2:
@@ -71,6 +76,7 @@ def write_png(path: str, pixels: np.ndarray) -> None:
     ihdr = struct.pack(">IIBBBBB", width, height, _WRITE_DEPTH, color_type, 0, 0, 0)
     body = _chunk(b"IHDR", ihdr) + _chunk(b"IDAT", zlib.compress(scanlines, 6))
     write_atomic(path, _SIGNATURE + body + _chunk(b"IEND", b""))
+    return (raw.astype(np.float64) / maxval).reshape(shape)
 
 
 def read_png(path: str) -> np.ndarray:

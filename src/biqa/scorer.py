@@ -18,7 +18,7 @@ import hashlib
 import json
 import struct
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -64,6 +64,9 @@ class ScorerConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ScorerConfig":
+        unknown = set(d) - {f.name for f in fields(ScorerConfig)}
+        if unknown:
+            raise ScorerError(f"unknown scorer config keys: {sorted(unknown)}")
         return ScorerConfig(
             patch_size=int(d["patch_size"]),
             channels_in=int(d["channels_in"]),

@@ -11,7 +11,7 @@ quality - a controllable stand-in for inter-dataset bias.
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -91,6 +91,9 @@ class BiasedDatasetConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "BiasedDatasetConfig":
+        unknown = set(d) - {f.name for f in fields(BiasedDatasetConfig)}
+        if unknown:
+            raise SynthError(f"unknown dataset config keys: {sorted(unknown)}")
         return BiasedDatasetConfig(
             name=str(d["name"]),
             n_images=int(d["n_images"]),
@@ -228,12 +231,11 @@ def gen_biased_dataset(
             rng=stream,
         )
         rel_path = os.path.join(config.name, f"{i:04d}.png")
-        write_png(os.path.join(out_dir, rel_path), degraded.pixels)
-        # keep the in-memory record identical to what a PNG round trip yields
-        quantized = np.clip(np.rint(degraded.pixels * 65535.0), 0, 65535) / 65535.0
+        # the in-memory record holds what a read of the PNG yields
+        stored = write_png(os.path.join(out_dir, rel_path), degraded.pixels)
         qstar = 1.0 - magnitude
         label = float(remap(qstar))
-        records.append(ImageRecord(id=rid, pixels=quantized))
+        records.append(ImageRecord(id=rid, pixels=stored))
         labels[rid] = label
         truth.qstar[rid] = qstar
         rows.append((rid, rel_path, label))

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, fields
 
@@ -35,6 +36,9 @@ log = logging.getLogger("biqa.trainer")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# TrainConfig field annotation -> the values from_dict accepts (bool excluded)
+_NUMBER = {"int": numbers.Integral, "float": numbers.Real}
 
 
 class TrainerError(Exception):
@@ -71,9 +75,15 @@ class TrainConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "TrainConfig":
-        unknown = set(d) - {f.name for f in fields(TrainConfig)}
+        types = {f.name: f.type for f in fields(TrainConfig)}
+        unknown = set(d) - set(types)
         if unknown:
             raise TrainerError(f"unknown training config keys: {sorted(unknown)}")
+        for key, value in d.items():
+            if isinstance(value, bool) or not isinstance(value, _NUMBER[types[key]]):
+                raise TrainerError(
+                    f"training config {key!r} must be {types[key]}, got {value!r}"
+                )
         return TrainConfig(**d)
 
 

@@ -356,3 +356,28 @@ def test_library_imports_leave_blas_unset():
     assert report["env"] == [None, None, None]
     assert report["seen"] == []
     assert report["numpy"]
+
+
+def test_session_pins_blas_threads(blas_pin):
+    caller, numpy_first = blas_pin
+    assert not numpy_first
+    expected = ["1" if caller[v] is None else caller[v] for v in _BLAS_VARS]
+    assert [os.environ.get(v) for v in _BLAS_VARS] == expected
+
+
+def test_exit_code_2_on_config_typos(cli_env, tmp_path, capsys):
+    cfg = json.loads(open(cli_env["root"] / "alpha.config.json").read())
+    typo = _write_json(tmp_path / "typo.json", cfg | {"image_szie": 64})
+    out = tmp_path / "typo"
+    assert dispatch(["synth-gen", "--config", typo, "--out", str(out)]) == 2
+    assert not out.exists()  # nothing generated at the default size
+    assert "image_szie" in capsys.readouterr().err
+    text_epochs = _write_json(tmp_path / "train.json", _TRAIN.to_dict() | {"epochs": "3"})
+    assert dispatch([
+        "train-single",
+        "--dataset", cli_env["alpha"],
+        "--scorer-config", cli_env["scorer_cfg"],
+        "--train-config", text_epochs,
+        "--out", str(tmp_path / "m.bin"),
+    ]) == 2
+    assert "epochs" in capsys.readouterr().err

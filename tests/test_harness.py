@@ -21,7 +21,7 @@ from biqa.harness import (
 )
 from biqa.rng import SplitMix64, derive_seed
 from biqa.scorer import ScorerConfig, forward_batch, init_params
-from biqa.synthbench import BiasedDatasetConfig
+from biqa.synthbench import BiasedDatasetConfig, SynthError
 from biqa.trainer import TrainConfig
 
 
@@ -145,6 +145,15 @@ def test_config_schema_guard():
     d = _tiny_config().to_dict()
     d["schema"] = 99
     with pytest.raises(HarnessError, match="schema"):
+        ExperimentConfig.from_dict(d)
+
+
+def test_config_rejects_unknown_keys():
+    d = _tiny_config().to_dict()
+    with pytest.raises(HarnessError, match="split_fracton"):
+        ExperimentConfig.from_dict(d | {"split_fracton": 0.5})
+    d["pool"] = d["pool"] | {"image_szie": 64}
+    with pytest.raises(SynthError, match="image_szie"):
         ExperimentConfig.from_dict(d)
 
 

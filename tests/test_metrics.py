@@ -34,6 +34,38 @@ def test_rank_average_basic_and_ties():
     assert rank_average([7.0, 7.0, 7.0]).tolist() == [2.0, 2.0, 2.0]
 
 
+def _rank_average_loop(x) -> np.ndarray:
+    """Reference copy of rank_average as a walk over the sorted values."""
+    a = np.asarray(x, dtype=np.float64)
+    order = np.argsort(a, kind="mergesort")
+    ranks = np.empty(a.size)
+    sorted_vals = a[order]
+    i = 0
+    while i < a.size:
+        j = i
+        while j + 1 < a.size and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def test_rank_average_matches_the_loop_bit_for_bit():
+    rng = SplitMix64(11)
+    cases = [
+        [],
+        [3.0],
+        [0.0, -0.0, 0.0, -0.0, 1.0],
+        [np.nan, 1.0, np.nan, 1.0, 0.0],
+        [np.inf, -np.inf, 0.0, np.inf, -np.inf, np.nan],
+        np.floor(rng.uniform_block(12_000) * 40.0),  # heavy ties
+        np.floor(rng.uniform_block(5000) * 3.0) - 1.0,
+        rng.uniform_block(2000),
+    ]
+    for x in cases:
+        assert np.array_equal(rank_average(x), _rank_average_loop(x), equal_nan=True)
+
+
 def test_pearson_hand_value():
     x = [1.0, 2.0, 3.0, 4.0]
     y = [2.0, 4.0, 6.0, 8.0]

@@ -44,6 +44,22 @@ def test_single_channel_axis_is_dropped(tmp_path):
     assert read_png(path).shape == (5, 7)
 
 
+def test_write_returns_what_the_file_decodes_to(tmp_path):
+    rng = SplitMix64(21)
+    cases = {
+        "gray": rng.uniform_block(6 * 5).reshape(6, 5),
+        "gray1": rng.uniform_block(4 * 7).reshape(4, 7, 1),
+        "rgb": rng.uniform_block(3 * 4 * 3).reshape(3, 4, 3),
+        "out_of_range": rng.uniform_block(5 * 5).reshape(5, 5) * 3.0 - 1.0,
+    }
+    for name, pixels in cases.items():
+        path = str(tmp_path / f"{name}.png")
+        stored = write_png(path, pixels)
+        assert stored.dtype == np.float64 and stored.shape == pixels.shape
+        back = read_png(path)
+        assert np.array_equal(stored.reshape(back.shape), back), name
+
+
 def test_deterministic_bytes(tmp_path):
     img = SplitMix64(3).uniform_block(16 * 16).reshape(16, 16)
     p1, p2 = str(tmp_path / "a.png"), str(tmp_path / "b.png")

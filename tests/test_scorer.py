@@ -44,6 +44,8 @@ def test_config_validation():
 def test_config_roundtrip():
     cfg = _cfg()
     assert ScorerConfig.from_dict(cfg.to_dict()) == cfg
+    with pytest.raises(ScorerError, match="hiden"):
+        ScorerConfig.from_dict(cfg.to_dict() | {"hiden": 8})
 
 
 def test_layout_is_contiguous_and_complete():

@@ -171,3 +171,10 @@ def test_load_ground_truth_rejects_bad_header(tmp_path):
     path.write_text("id,quality\na,0.5\n")
     with pytest.raises(SynthError, match="header"):
         load_ground_truth(str(path))
+
+
+def test_config_from_dict_rejects_unknown_keys():
+    cfg = BiasedDatasetConfig("d", 4, ("gaussian_blur",), "identity", 1, image_size=16)
+    assert BiasedDatasetConfig.from_dict(cfg.to_dict()) == cfg
+    with pytest.raises(SynthError, match="image_szie"):
+        BiasedDatasetConfig.from_dict(cfg.to_dict() | {"image_szie": 64})

@@ -39,6 +39,18 @@ def test_train_config_validation():
         TrainConfig.from_dict(cfg.to_dict() | {"warmup_start": 0.1})
 
 
+def test_train_config_from_dict_checks_types():
+    cfg = TrainConfig(epochs=5).to_dict()
+    for key, value in [
+        ("epochs", "3"), ("epochs", 3.0), ("epochs", True), ("base_lr", "1e-3"),
+        ("seed", None), ("weight_decay", [0.1]),
+    ]:
+        with pytest.raises(TrainerError, match=key):
+            TrainConfig.from_dict(cfg | {key: value})
+    # JSON writes a whole float without a decimal point
+    assert TrainConfig.from_dict(cfg | {"base_lr": 0}).base_lr == 0
+
+
 def test_l1_loss_value_and_grad():
     loss, grad = l1_loss([1.0, 2.0, 5.0], [1.5, 2.0, 3.0])
     assert loss == pytest.approx((0.5 + 0.0 + 2.0) / 3)
