@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import os
 import sys
 
+from .config import read_json
 from .dataset import DatasetError, load_manifest, rescale_mos, split_dataset
 from .harness import ExperimentRunner, HarnessError, crop_scorer, load_config, \
     reference_config
@@ -65,19 +67,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _read_json(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _scorer_config(path: str | None) -> ScorerConfig:
     if path is None:
         return reference_config().scorer
-    return ScorerConfig.from_dict(_read_json(path))
+    return ScorerConfig.from_dict(read_json(path))
 
 
 def _train_config(path: str | None, default: TrainConfig, seed: int | None) -> TrainConfig:
-    cfg = default if path is None else TrainConfig.from_dict(_read_json(path))
+    cfg = default if path is None else TrainConfig.from_dict(read_json(path))
     return cfg if seed is None else dataclasses.replace(cfg, seed=seed)
 
 
@@ -88,9 +85,14 @@ def _runner(args) -> ExperimentRunner:
     return ExperimentRunner(cfg, args.out, threads=args.threads, force=args.force)
 
 
+def _score(params, records):
+    """One score per record, from the record's own center crop."""
+    crops = central_crop_store(records, params.config.patch_size)
+    return crop_scorer(params, crops)(records)
+
+
 def _scores_for(params, manifest) -> dict[str, float]:
-    crops = central_crop_store(manifest.records, params.config.patch_size)
-    values = crop_scorer(params, crops)(manifest.records)
+    values = _score(params, manifest.records)
     return {r.id: float(v) for r, v in zip(manifest.records, values)}
 
 
@@ -98,7 +100,7 @@ def _scores_for(params, manifest) -> dict[str, float]:
 
 
 def _cmd_synth_gen(args) -> dict:
-    config = BiasedDatasetConfig.from_dict(_read_json(args.config))
+    config = BiasedDatasetConfig.from_dict(read_json(args.config))
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     manifest, _ = gen_biased_dataset(config, args.out)
@@ -199,20 +201,15 @@ def _cmd_eval(args) -> dict:
 
 def _cmd_cross_eval(args) -> dict:
     loaded = [(path, load_params(path)) for path in args.models]
-    patch_sizes = {p.config.patch_size for _, p in loaded}
-    if len(patch_sizes) > 1:
+    if len({p.config.patch_size for _, p in loaded}) > 1:
         raise HarnessError("models disagree on patch size")
-    patch = patch_sizes.pop()
     manifests = [load_manifest(path) for path in args.datasets]
-    crops = {}
-    for m in manifests:
-        crops.update(central_crop_store(m.records, patch))
 
     def row(path, params):
         return ScoredModel(
             name=os.path.splitext(os.path.basename(path))[0],
             trained_on=str(params.meta.get("trained_on", "unknown")),
-            score_fn=crop_scorer(params, crops),
+            score_fn=functools.partial(_score, params),
         )
 
     matrix = cross_dataset_matrix([row(p, m) for p, m in loaded], manifests)

@@ -31,10 +31,11 @@ import logging
 import os
 import shutil
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from .config import decode, read_json
 from .dataset import DatasetManifest, load_manifest, rescale_mos, split_dataset
 from .metrics import (
     EvalReport,
@@ -98,11 +99,6 @@ def _canon(obj) -> str:
 
 def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=1) + "\n"
-
-
-def _read_json(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def signature_of(payload: dict) -> str:
@@ -177,24 +173,11 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
-        if d.get("schema") != SCHEMA_VERSION:
-            raise HarnessError(
-                f"config schema {d.get('schema')!r}, expected {SCHEMA_VERSION}"
-            )
-        unknown = set(d) - {"schema"} - {f.name for f in fields(ExperimentConfig)}
-        if unknown:
-            raise HarnessError(f"unknown experiment config keys: {sorted(unknown)}")
-        config = ExperimentConfig(
-            master_seed=int(d["master_seed"]),
-            datasets=[BiasedDatasetConfig.from_dict(e) for e in d["datasets"]],
-            pool=BiasedDatasetConfig.from_dict(d["pool"]),
-            pair_ladder=[int(n) for n in d["pair_ladder"]],
-            ensemble_subsets=[list(s) for s in d["ensemble_subsets"]],
-            scorer=ScorerConfig.from_dict(d["scorer"]),
-            stage1=TrainConfig.from_dict(d["stage1"]),
-            stage3=TrainConfig.from_dict(d["stage3"]),
-            split_fraction=float(d.get("split_fraction", 0.8)),
-        )
+        schema = d.get("schema") if isinstance(d, dict) else None
+        if schema != SCHEMA_VERSION:
+            raise HarnessError(f"config schema {schema!r}, expected {SCHEMA_VERSION}")
+        body = {k: v for k, v in d.items() if k != "schema"}
+        config = decode(ExperimentConfig, body, HarnessError)
         config.validate()
         return config
 
@@ -220,7 +203,6 @@ def reference_config(master_seed: int = 42) -> ExperimentConfig:
             allowed_kinds=kinds,
             label_remap=remap,
             seed=derive_seed(master_seed, "data", name),
-            image_size=48,
         )
 
     names = ["blurset", "noiseset", "mixedset"]
@@ -255,7 +237,7 @@ def save_config(config: ExperimentConfig, path: str) -> None:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    return ExperimentConfig.from_dict(_read_json(path))
+    return ExperimentConfig.from_dict(read_json(path))
 
 
 class ExperimentState:
@@ -271,7 +253,7 @@ class ExperimentState:
         path = os.path.join(out_dir, "state.json")
         if not os.path.exists(path):
             return ExperimentState(out_dir)
-        data = _read_json(path)
+        data = read_json(path)
         if data.get("schema") != SCHEMA_VERSION:
             raise HarnessError(f"{path}: unsupported state schema")
         return ExperimentState(out_dir, data)
@@ -628,7 +610,7 @@ class ExperimentRunner:
             name,
             {"models": models, "datasets": datasets},
             build,
-            lambda outputs: _read_json(
+            lambda outputs: read_json(
                 os.path.join(self.out_dir, outputs["report"]["path"])
             ),
         )

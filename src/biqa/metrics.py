@@ -7,11 +7,9 @@ curve, a logistic plus a linear term (b1..b5), fitted by damped
 Gauss-Newton, which removes the arbitrary nonlinearity between a model's
 score scale and the label scale.
 
-The remap is not constrained to increase: the logistic slope starts with
-the sign of Pearson's r and the linear term b4 is free. An inverted model
-therefore gets a decreasing remap and a positive PLCC (about |r|), while
-its SRCC stays negative; test_plcc_handles_anticorrelated_scores pins
-this. A PLCC that keeps the sign of the correlation is an open item.
+The remap may decrease (its slope starts with the sign of Pearson's r and
+the linear term b4 is free), so PLCC carries the remap's direction over
+the prediction range: an inverted model gets a negative PLCC and SRCC.
 
 Also provides the repeated-split evaluation protocol (k random 80/20
 splits, median of each metric taken independently) and full cross-dataset
@@ -198,11 +196,14 @@ def fit_logistic(preds, mos) -> LogisticParams:
 
 
 def plcc(preds, mos) -> tuple[float, LogisticParams]:
-    """Pearson correlation after the fitted remap. The remap may decrease
-    (module docstring), so plcc(-x, y) equals plcc(x, y) up to the fit's
-    tolerance: an inverted model scores a positive PLCC."""
-    betas = fit_logistic(preds, mos)
-    return pearson(logistic_map(np.asarray(preds, dtype=np.float64), betas), mos), betas
+    """Pearson correlation after the fitted remap, times the remap's
+    direction: the sign of f(max pred) - f(min pred), or of the raw
+    Pearson r where those tie. So plcc(-x, y) == -plcc(x, y)."""
+    x = np.asarray(preds, dtype=np.float64)
+    betas = fit_logistic(x, mos)
+    mapped = logistic_map(x, betas)
+    sign = np.sign(mapped[x.argmax()] - mapped[x.argmin()]) or np.sign(pearson(x, mos))
+    return float(sign) * pearson(mapped, mos), betas
 
 
 @dataclass

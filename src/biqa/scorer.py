@@ -18,10 +18,11 @@ import hashlib
 import json
 import struct
 import zlib
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .config import decode
 from .dataset import ImageRecord, sample_patches
 from .png_io import write_atomic
 from .rng import SplitMix64
@@ -43,7 +44,6 @@ class ScorerConfig:
     activation: str = "relu"
 
     def __post_init__(self):
-        object.__setattr__(self, "conv_channels", tuple(self.conv_channels))
         if self.activation != "relu":
             raise ScorerError(f"unsupported activation {self.activation!r}")
         if len(self.conv_channels) < 1:
@@ -64,16 +64,7 @@ class ScorerConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ScorerConfig":
-        unknown = set(d) - {f.name for f in fields(ScorerConfig)}
-        if unknown:
-            raise ScorerError(f"unknown scorer config keys: {sorted(unknown)}")
-        return ScorerConfig(
-            patch_size=int(d["patch_size"]),
-            channels_in=int(d["channels_in"]),
-            conv_channels=tuple(int(c) for c in d["conv_channels"]),
-            hidden=int(d["hidden"]),
-            activation=d.get("activation", "relu"),
-        )
+        return decode(ScorerConfig, d, ScorerError)
 
 
 def layout_for(config: ScorerConfig) -> list[tuple[str, int, tuple[int, ...]]]:

@@ -11,10 +11,11 @@ quality - a controllable stand-in for inter-dataset bias.
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .config import decode
 from .dataset import DatasetManifest, ImageRecord, write_manifest_csv
 from .png_io import write_atomic, write_png
 from .rng import SplitMix64, derive_seed, spawn
@@ -91,17 +92,7 @@ class BiasedDatasetConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "BiasedDatasetConfig":
-        unknown = set(d) - {f.name for f in fields(BiasedDatasetConfig)}
-        if unknown:
-            raise SynthError(f"unknown dataset config keys: {sorted(unknown)}")
-        return BiasedDatasetConfig(
-            name=str(d["name"]),
-            n_images=int(d["n_images"]),
-            allowed_kinds=tuple(d["allowed_kinds"]),
-            label_remap=str(d["label_remap"]),
-            seed=int(d["seed"]),
-            image_size=int(d.get("image_size", 48)),
-        )
+        return decode(BiasedDatasetConfig, d, SynthError)
 
 
 @dataclass

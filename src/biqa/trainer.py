@@ -21,12 +21,12 @@ from __future__ import annotations
 import json
 import logging
 import math
-import numbers
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .config import decode
 from .dataset import DatasetManifest, Split, sample_patches
 from .rng import SplitMix64, derive_seed
 from .scorer import ScorerConfig, ScorerParams, backward, forward_batch, init_params
@@ -36,10 +36,6 @@ log = logging.getLogger("biqa.trainer")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-# TrainConfig field annotation -> the values from_dict accepts (bool excluded)
-_NUMBER = {"int": numbers.Integral, "float": numbers.Real}
-
 
 class TrainerError(Exception):
     pass
@@ -75,16 +71,7 @@ class TrainConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "TrainConfig":
-        types = {f.name: f.type for f in fields(TrainConfig)}
-        unknown = set(d) - set(types)
-        if unknown:
-            raise TrainerError(f"unknown training config keys: {sorted(unknown)}")
-        for key, value in d.items():
-            if isinstance(value, bool) or not isinstance(value, _NUMBER[types[key]]):
-                raise TrainerError(
-                    f"training config {key!r} must be {types[key]}, got {value!r}"
-                )
-        return TrainConfig(**d)
+        return decode(TrainConfig, d, TrainerError)
 
 
 @dataclass

@@ -36,6 +36,7 @@ from biqa.scorer import (
     init_params,
     load_params,
 )
+from biqa.synthbench import load_ground_truth
 from biqa.trainer import (
     OptimState,
     adamw_step,
@@ -362,3 +363,51 @@ def test_stage1_scorers_fit_their_own_split(reference_run):
         scores = crop_scorer(params, store)([manifest.by_id[i] for i in ids])
         value = srcc(scores, [manifest.rescaled[i] for i in ids])
         assert value >= 0.7, f"{dcfg.name}: test-split SRCC {value:.4f}"
+
+
+# ---- companion checks that can fail: stage 3 and the signed PLCC ------------
+
+
+def _qstar_srcc(out: str, params) -> dict[str, float]:
+    """SRCC against ground-truth q* of one model on every reference dataset."""
+    per_dataset = {}
+    for dcfg in reference_config(42).datasets:
+        manifest = load_manifest(os.path.join(out, "data", f"{dcfg.name}.csv"))
+        truth = load_ground_truth(os.path.join(out, "data", f"{dcfg.name}.truth.csv"))
+        store = central_crop_store(manifest.records, params.config.patch_size)
+        scores = crop_scorer(params, store)(manifest.records)
+        qstar = [truth.qstar[r.id] for r in manifest.records]
+        per_dataset[dcfg.name] = srcc(scores, qstar)
+    return per_dataset
+
+
+def test_stage3_beats_its_untrained_init(reference_run):
+    config = reference_config(42)
+    n_max = config.pair_ladder[-1]
+    seed = derive_seed(42, "train3", config.full_tag, f"n{n_max}")
+    init = init_params(config.scorer, derive_seed(seed, "init"))
+    init_mean = float(np.mean(list(_qstar_srcc(reference_run["out"], init).values())))
+    cdr = reference_run["summary"]["cross_eval"]["aggregates"]["cdr"]
+    assert cdr["mean_srcc"] > init_mean, (cdr["mean_srcc"], init_mean)
+    # the aggregate is the same measurement the init gets here
+    entry = reference_run["summary"]["models"]["cdr"][f"{config.full_tag}:n{n_max}"]
+    trained = load_params(os.path.join(reference_run["out"], entry["path"]))
+    assert _qstar_srcc(reference_run["out"], trained) == cdr["per_dataset"]
+
+
+@pytest.mark.xfail(strict=True, reason="the CDR model ranks noiseset backwards")
+def test_cdr_srcc_is_positive_on_every_dataset(reference_run):
+    cdr = reference_run["summary"]["cross_eval"]["aggregates"]["cdr"]
+    per_dataset = cdr["per_dataset"]
+    assert all(v > 0.0 for v in per_dataset.values()), per_dataset
+
+
+def test_plcc_keeps_the_sign_of_srcc(reference_run):
+    report = reference_run["summary"]["cross_eval"]
+    cells = [c for m in ("vs_qstar", "vs_labels") for row in report[m] for c in row]
+    flipped = [
+        (c["model"], c["dataset"], c["srcc"], c["plcc"])
+        for c in cells
+        if abs(c["srcc"]) > 0.1 and np.sign(c["plcc"]) != np.sign(c["srcc"])
+    ]
+    assert flipped == []

@@ -210,6 +210,27 @@ def test_cross_eval_json_matrix(cli_env, capsys):
     assert cell["dataset"] == "alpha"
 
 
+def test_cross_eval_scores_each_dataset_on_its_own_images(cli_env, tmp_path, capsys):
+    # b2 holds beta's images under alpha's ids
+    beta_dir = os.path.dirname(cli_env["beta"])
+    lines = open(cli_env["beta"], encoding="utf-8").read().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    b2 = tmp_path / "b2.csv"
+    b2.write_text(lines[0] + "\n" + "".join(
+        f"{rid.replace('beta', 'alpha')},{os.path.join(beta_dir, path)},{mos}\n"
+        for rid, path, mos in rows
+    ))
+
+    def alpha_cell(*datasets):
+        assert dispatch([
+            "cross-eval", "--models", cli_env["alpha_model"], "--datasets", *datasets,
+            "--json",
+        ]) == 0
+        return json.loads(capsys.readouterr().out)["matrix"][0][0]
+
+    assert alpha_cell(cli_env["alpha"], str(b2)) == alpha_cell(cli_env["alpha"])
+
+
 def test_cross_eval_rejects_mixed_patch_sizes(cli_env, tmp_path, capsys):
     odd = init_params(
         ScorerConfig(patch_size=10, channels_in=1, conv_channels=(2,), hidden=2), seed=0
@@ -372,6 +393,10 @@ def test_exit_code_2_on_config_typos(cli_env, tmp_path, capsys):
     assert dispatch(["synth-gen", "--config", typo, "--out", str(out)]) == 2
     assert not out.exists()  # nothing generated at the default size
     assert "image_szie" in capsys.readouterr().err
+    fractional = _write_json(tmp_path / "frac.json", cfg | {"n_images": 40.9})
+    assert dispatch(["synth-gen", "--config", fractional, "--out", str(out)]) == 2
+    assert not out.exists()  # nothing generated from int(40.9) images
+    assert "n_images" in capsys.readouterr().err
     text_epochs = _write_json(tmp_path / "train.json", _TRAIN.to_dict() | {"epochs": "3"})
     assert dispatch([
         "train-single",

@@ -146,6 +146,8 @@ def test_config_schema_guard():
     d["schema"] = 99
     with pytest.raises(HarnessError, match="schema"):
         ExperimentConfig.from_dict(d)
+    with pytest.raises(HarnessError, match="schema"):
+        ExperimentConfig.from_dict([d])
 
 
 def test_config_rejects_unknown_keys():
@@ -154,6 +156,27 @@ def test_config_rejects_unknown_keys():
         ExperimentConfig.from_dict(d | {"split_fracton": 0.5})
     d["pool"] = d["pool"] | {"image_szie": 64}
     with pytest.raises(SynthError, match="image_szie"):
+        ExperimentConfig.from_dict(d)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("pair_ladder", [500.9, 5000]), ("master_seed", "42"),
+     ("ensemble_subsets", ["blurset"]), ("split_fraction", True)],
+)
+def test_config_refuses_wrong_types(key, value):
+    d = _tiny_config().to_dict()
+    with pytest.raises(HarnessError, match=key):
+        ExperimentConfig.from_dict(d | {key: value})
+
+
+def test_config_names_a_missing_key():
+    d = _tiny_config().to_dict()
+    del d["pool"]["name"]
+    with pytest.raises(SynthError, match="'name'"):
+        ExperimentConfig.from_dict(d)
+    del d["scorer"]
+    with pytest.raises(HarnessError, match="'scorer'"):
         ExperimentConfig.from_dict(d)
 
 

@@ -286,8 +286,19 @@ def test_plcc_handles_anticorrelated_scores():
     y = logistic_map(s, _BETAS)
     direct, _ = plcc(s, y)
     flipped, _ = plcc(-s, y)
-    assert flipped == pytest.approx(direct, abs=1e-6)
-    assert flipped > 0.999
+    assert flipped == pytest.approx(-direct, abs=1e-6)
+    assert flipped < -0.999
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_plcc_flips_sign_with_the_predictions(seed):
+    rng = SplitMix64(seed)
+    x = np.cumsum(0.01 + rng.uniform_block(60))  # strictly increasing
+    y = np.sqrt(x) + (0.5 + seed) * 0.1 * rng.normal_block(60)
+    forward, _ = plcc(x, y)
+    backward, _ = plcc(-x, y)
+    assert backward == -forward
+    assert np.sign(forward) == np.sign(srcc(x, y))
 
 
 def test_evaluate_populates_report():

@@ -46,6 +46,8 @@ def test_config_roundtrip():
     assert ScorerConfig.from_dict(cfg.to_dict()) == cfg
     with pytest.raises(ScorerError, match="hiden"):
         ScorerConfig.from_dict(cfg.to_dict() | {"hiden": 8})
+    with pytest.raises(ScorerError, match="conv_channels"):
+        ScorerConfig.from_dict(cfg.to_dict() | {"conv_channels": [2.5, 3]})
 
 
 def test_layout_is_contiguous_and_complete():

@@ -178,3 +178,13 @@ def test_config_from_dict_rejects_unknown_keys():
     assert BiasedDatasetConfig.from_dict(cfg.to_dict()) == cfg
     with pytest.raises(SynthError, match="image_szie"):
         BiasedDatasetConfig.from_dict(cfg.to_dict() | {"image_szie": 64})
+
+
+@pytest.mark.parametrize(
+    "key, value", [("n_images", 40.9), ("seed", "7"), ("image_size", 16.7),
+                   ("allowed_kinds", "gaussian_blur"), ("name", 3)]
+)
+def test_config_from_dict_refuses_wrong_types(key, value):
+    cfg = BiasedDatasetConfig("d", 4, ("gaussian_blur",), "identity", 1, image_size=16)
+    with pytest.raises(SynthError, match=key):
+        BiasedDatasetConfig.from_dict(cfg.to_dict() | {key: value})
