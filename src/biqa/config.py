@@ -3,9 +3,10 @@
 Each key must name a field, each field without a default must be present,
 and each value must already have its field's type: int fields take
 integers and float fields any real number (never a bool), str fields
-strings, tuple/list fields are checked item by item, and a nested config
-goes through its own from_dict. Values are kept as given. A violation
-raises the caller's error class and names the key.
+strings, dict fields JSON objects, tuple/list fields are checked item by
+item, and a nested config goes through its own from_dict. Values are kept
+as given. A violation raises the caller's error class and names the key.
+The pair-manifest sidecar is decoded by the same rule.
 """
 
 from __future__ import annotations
@@ -17,12 +18,17 @@ import numbers
 import typing
 
 # a scalar field's type -> the values it accepts (bool excluded)
-_SCALARS = {int: numbers.Integral, float: numbers.Real, str: str}
+_SCALARS = {int: numbers.Integral, float: numbers.Real, str: str, dict: dict}
 
 
 def read_json(path: str):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def json_text(obj) -> str:
+    """The text of every JSON file biqa writes: sorted keys, indent 1."""
+    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
 
 
 @functools.lru_cache(maxsize=None)

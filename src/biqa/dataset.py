@@ -3,11 +3,15 @@
 A dataset is a CSV manifest (`id,image_path,mos`) next to its PNG files.
 Raw opinion scores are min-max rescaled to [0, 1] before training. All
 operations are pure given their inputs and an explicit RNG stream.
+Every table biqa writes or reads (manifests, `.truth.csv`, pair manifests,
+cross-eval matrices) goes through render_csv and read_csv below.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import math
 import os
 from dataclasses import dataclass
 
@@ -81,31 +85,15 @@ def load_manifest(path: str) -> DatasetManifest:
     name = os.path.splitext(os.path.basename(path))[0]
     records: list[ImageRecord] = []
     labels: dict[str, float] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        expected = ["id", "image_path", "mos"]
-        if reader.fieldnames is None or list(reader.fieldnames) != expected:
-            raise DatasetError(
-                f"{path}: expected header {','.join(expected)}, "
-                f"got {reader.fieldnames}"
-            )
-        for row in reader:
-            rid = row["id"]
-            if rid in labels:
-                raise DatasetError(f"{path}: duplicate id {rid!r}")
-            try:
-                mos = float(row["mos"])
-            except (TypeError, ValueError):
-                raise DatasetError(f"{path}: non-numeric mos for id {rid!r}")
-            img_path = row["image_path"]
-            if not os.path.isabs(img_path):
-                img_path = os.path.join(base, img_path)
-            try:
-                pixels = _as_record_pixels(read_png(img_path))
-            except (OSError, PngError) as exc:
-                raise DatasetError(f"{path}: cannot read image for {rid!r}: {exc}")
-            records.append(ImageRecord(id=rid, pixels=pixels))
-            labels[rid] = mos
+    for rid, img_path, mos in read_csv(path, ("id", "image_path", "mos"), DatasetError):
+        if rid in labels:
+            raise DatasetError(f"{path}: duplicate id {rid!r}")
+        labels[rid] = finite_float(mos, DatasetError, f"{path}: mos of id {rid!r}")
+        try:
+            pixels = _as_record_pixels(read_png(os.path.join(base, img_path)))
+        except (OSError, PngError) as exc:
+            raise DatasetError(f"{path}: cannot read image for {rid!r}: {exc}")
+        records.append(ImageRecord(id=rid, pixels=pixels))
     if not records:
         raise DatasetError(f"{path}: manifest has no records")
     return DatasetManifest(name=name, records=records, labels=labels)
@@ -186,9 +174,61 @@ def sample_patches(
     return patches
 
 
-def write_manifest_csv(
-    path: str, rows: list[tuple[str, str, float]]
-) -> None:
+def write_manifest_csv(path: str, rows: list[tuple[str, str, float]]) -> None:
     """Write a `id,image_path,mos` CSV (UTF-8, `.` decimal separator)."""
-    body = "".join(f"{rid},{img_path},{mos!r}\n" for rid, img_path, mos in rows)
-    write_atomic(path, "id,image_path,mos\n" + body)
+    write_atomic(path, render_csv(("id", "image_path", "mos"), zip(*rows), DatasetError))
+
+
+def render_csv(header, columns, error) -> str:
+    """CSV text of a table given column by column: the header line, then
+    one line per row, each field written by str() (a float's shortest
+    round-trip digits). Nothing is quoted, so a field holding a comma, a
+    double quote, CR or LF raises error(message)."""
+    columns = list(columns) or [()] * len(header)
+    if len(columns) != len(header):
+        raise error(f"{len(columns)} columns for header {','.join(header)}")
+    k, n = len(header), len(columns[0])
+    cells = [None] * (k * n)  # row-major; a column of another length raises
+    for j, column in enumerate(columns):
+        cells[j::k] = column
+    # one %-format over every field at once ("%s" writes str(field))
+    text = ",".join(header) + "\n" + (",".join(["%s"] * k) + "\n") * n % tuple(cells)
+    # a comma, quote or line break inside a field changes one of these counts
+    if (text.count(",") != (k - 1) * (n + 1)
+            or text.count("\n") != n + 1 or '"' in text or "\r" in text):
+        lines = [",".join(map(str, cells[i : i + k])) for i in range(0, len(cells), k)]
+        bad = next(line for line in [",".join(header), *lines]
+                   if line.count(",") != k - 1 or set(line) & set('"\r\n'))
+        raise error(f"CSV row {bad!r}: a field holds a comma, quote or line break")
+    return text
+
+
+def read_csv(path: str, header: tuple[str, ...], error, extra: bool = False):
+    """Yield each row after the header of the CSV at path as a list of
+    strings (quotes parsed as csv.reader parses them, blank lines skipped).
+    The header must be `header`, or begin with it when `extra`, and every
+    row must have its field count; error(message) names the file and line."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            first = next(reader, [])
+            n = len(first)
+            if first[: len(header)] != [*header] or n > len(header) and not extra:
+                raise error(f"{path}: expected header {','.join(header)}, "
+                            f"got {','.join(first)!r}")
+            for row in reader:
+                if len(row) == n:
+                    yield row
+                elif row:
+                    raise error(f"{path}: line {reader.line_num}: ragged row "
+                                f"with {len(row)} fields, header has {n}")
+        except csv.Error as exc:
+            raise error(f"{path}: line {reader.line_num}: {exc}")
+
+
+def finite_float(text: str, error, where: str) -> float:
+    """float(text) when that is a finite number; error(message) otherwise."""
+    with contextlib.suppress(ValueError):
+        if math.isfinite(value := float(text)):
+            return value
+    raise error(f"{where}: {text!r} is not a finite number")

@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .config import decode, read_json
+from .config import decode, json_text, read_json
 from .dataset import DatasetManifest, load_manifest, rescale_mos, split_dataset
 from .metrics import (
     EvalReport,
@@ -95,10 +95,6 @@ def sha256_file(path: str) -> str:
 
 def _canon(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
 
 
 def signature_of(payload: dict) -> str:
@@ -233,7 +229,7 @@ def reference_config(master_seed: int = 42) -> ExperimentConfig:
 
 
 def save_config(config: ExperimentConfig, path: str) -> None:
-    write_atomic(path, _json_text(config.to_dict()))
+    write_atomic(path, json_text(config.to_dict()))
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -254,12 +250,12 @@ class ExperimentState:
         if not os.path.exists(path):
             return ExperimentState(out_dir)
         data = read_json(path)
-        if data.get("schema") != SCHEMA_VERSION:
+        if not isinstance(data, dict) or data.get("schema") != SCHEMA_VERSION:
             raise HarnessError(f"{path}: unsupported state schema")
         return ExperimentState(out_dir, data)
 
     def save(self) -> None:
-        write_atomic(self.path, _json_text(self.data))
+        write_atomic(self.path, json_text(self.data))
 
     def stage(self, name: str) -> dict | None:
         return self.data["stages"].get(name)
@@ -669,7 +665,7 @@ class ExperimentRunner:
                 "aggregates": self._aggregates(vs_qstar),
             }
             return {
-                "report": self._write_report("cross-eval.json", _json_text(report)),
+                "report": self._write_report("cross-eval.json", json_text(report)),
                 "csv-qstar": self._write_report(
                     "cross-eval-qstar.csv", render_matrix_csv(vs_qstar)
                 ),
@@ -716,7 +712,7 @@ class ExperimentRunner:
                 for sig, _, row_fields in rows
             ]
             report = {"schema": SCHEMA_VERSION} | header | {table: entries}
-            text = _json_text(report)
+            text = json_text(report)
             return {"report": self._write_report(f"ablation-{axis}.json", text)}
 
         hashes = {sig: m["sha256"] for sig, m in models.items()}
@@ -759,6 +755,6 @@ class ExperimentRunner:
             "ablation_ensemble": ensemble_table,
         }
         path = os.path.join(self.out_dir, "summary.json")
-        write_atomic(path, _json_text(summary))
+        write_atomic(path, json_text(summary))
         log.info("experiment complete: %s", path)
         return summary

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import DatasetManifest, ImageRecord, split_dataset
+from .dataset import DatasetManifest, ImageRecord, render_csv, split_dataset
 from .rng import derive_seed
 from .trainer import stable_sigmoid
 
@@ -322,17 +322,13 @@ def cross_dataset_matrix(
 
 def render_matrix_csv(matrix: list[list[EvalReport]]) -> str:
     """rows = (model, trained_on); columns = dataset x {srcc, plcc}."""
-    datasets = [cell.dataset for cell in matrix[0]]
     header = ["model", "trained_on"]
-    for name in datasets:
-        header += [f"{name}_srcc", f"{name}_plcc"]
-    lines = [",".join(header)]
-    for row in matrix:
-        fields = [row[0].model, row[0].trained_on]
-        for cell in row:
-            fields += [f"{cell.srcc:.6f}", f"{cell.plcc:.6f}"]
-        lines.append(",".join(fields))
-    return "\n".join(lines) + "\n"
+    columns = [[row[0].model for row in matrix], [row[0].trained_on for row in matrix]]
+    for j, cell in enumerate(matrix[0]):
+        header += [f"{cell.dataset}_srcc", f"{cell.dataset}_plcc"]
+        columns += [[f"{row[j].srcc:.6f}" for row in matrix],
+                    [f"{row[j].plcc:.6f}" for row in matrix]]
+    return render_csv(header, columns, MetricError)
 
 
 def matrix_to_json(matrix: list[list[EvalReport]]) -> list[list[dict]]:

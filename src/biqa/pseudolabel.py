@@ -24,14 +24,14 @@ definition relative_prob bit for bit.
 
 from __future__ import annotations
 
-import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dataset import DatasetError, DatasetManifest, ImageRecord
+from .config import decode, json_text, read_json
+from .dataset import DatasetError, DatasetManifest, ImageRecord, read_csv, render_csv
 from .png_io import write_atomic
 from .rng import derive_seed, mix64_block
 from .scorer import ScorerParams, forward_batch, load_params, params_digest
@@ -99,11 +99,17 @@ class PairSample:
 
 
 @dataclass
-class PairManifest:
+class PairSidecar:
+    """The JSON file beside a pair CSV."""
+
     pool: str
     n_pairs: int
     seed: int
     ensemble: list[dict]
+
+
+@dataclass
+class PairManifest(PairSidecar):
     samples: list[PairSample]
 
     def validate(self) -> None:
@@ -297,66 +303,34 @@ def _sidecar_path(csv_path: str) -> str:
 
 
 def save_pair_manifest(manifest: PairManifest, csv_path: str) -> None:
-    """Write the `x_id,y_id,p_r` CSV and its JSON sidecar."""
+    """Write the `x_id,y_id,p_r[,p_r_1,...]` CSV and its JSON sidecar."""
     manifest.validate()
-    with_models = all(s.per_model is not None for s in manifest.samples)
-    n_models = len(manifest.samples[0].per_model) if with_models else 0
-    header = "x_id,y_id,p_r"
-    if with_models:
-        header += "".join(f",p_r_{i + 1}" for i in range(n_models))
-    lines = [header]
-    for s in manifest.samples:
-        row = f"{s.x_id},{s.y_id},{s.p_r!r}"
-        if with_models:
-            row += "".join(f",{p!r}" for p in s.per_model)
-        lines.append(row)
-    write_atomic(csv_path, "\n".join(lines) + "\n")
-    sidecar = {
-        "pool": manifest.pool,
-        "n_pairs": manifest.n_pairs,
-        "seed": manifest.seed,
-        "ensemble": manifest.ensemble,
-    }
-    write_atomic(
-        _sidecar_path(csv_path), json.dumps(sidecar, sort_keys=True, indent=1) + "\n"
-    )
+    samples = manifest.samples
+    # per-model columns when every pair has them (a short tuple raises IndexError)
+    models = [s.per_model for s in samples]
+    width = 0 if None in models else max(map(len, models), default=0)
+    header = ["x_id", "y_id", "p_r"] + [f"p_r_{i + 1}" for i in range(width)]
+    columns = [[s.x_id for s in samples], [s.y_id for s in samples],
+               [s.p_r for s in samples], *([m[i] for m in models] for i in range(width))]
+    write_atomic(csv_path, render_csv(header, columns, PseudoLabelError))
+    sidecar = {f.name: getattr(manifest, f.name) for f in fields(PairSidecar)}
+    write_atomic(_sidecar_path(csv_path), json_text(sidecar))
 
 
 def load_pair_manifest(csv_path: str) -> PairManifest:
     sidecar_path = _sidecar_path(csv_path)
     if not os.path.exists(sidecar_path):
         raise PseudoLabelError(f"missing sidecar {sidecar_path}")
-    with open(sidecar_path, encoding="utf-8") as fh:
-        sidecar = json.load(fh)
+    sidecar = decode(PairSidecar, read_json(sidecar_path),
+                     lambda message: PseudoLabelError(f"{sidecar_path}: {message}"))
     samples = []
-    with open(csv_path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        if header[:3] != ["x_id", "y_id", "p_r"]:
-            raise PseudoLabelError(f"{csv_path}: bad header {header[:3]}")
-        with_models = len(header) > 3
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != len(header):
-                raise PseudoLabelError(f"{csv_path}: ragged row {parts[:2]}")
-            samples.append(
-                PairSample(
-                    x_id=parts[0],
-                    y_id=parts[1],
-                    p_r=float(parts[2]),
-                    per_model=tuple(float(v) for v in parts[3:])
-                    if with_models
-                    else None,
-                )
-            )
-    manifest = PairManifest(
-        pool=str(sidecar["pool"]),
-        n_pairs=int(sidecar["n_pairs"]),
-        seed=int(sidecar["seed"]),
-        ensemble=list(sidecar["ensemble"]),
-        samples=samples,
-    )
+    for row in read_csv(csv_path, ("x_id", "y_id", "p_r"), PseudoLabelError, extra=True):
+        try:
+            per_model = tuple(map(float, row[3:])) if len(row) > 3 else None
+            samples.append(PairSample(row[0], row[1], float(row[2]), per_model))
+        except ValueError:
+            raise PseudoLabelError(f"{csv_path}: non-numeric probability in "
+                                   f"pair ({row[0]}, {row[1]})") from None
+    manifest = PairManifest(**vars(sidecar), samples=samples)
     manifest.validate()
     return manifest

@@ -16,7 +16,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .config import decode
-from .dataset import DatasetManifest, ImageRecord, write_manifest_csv
+from .dataset import (DatasetManifest, ImageRecord, finite_float, read_csv,
+                      render_csv, write_manifest_csv)
 from .png_io import write_atomic, write_png
 from .rng import SplitMix64, derive_seed, spawn
 
@@ -77,6 +78,10 @@ class BiasedDatasetConfig:
     image_size: int = 48
 
     def __post_init__(self):
+        # the name becomes a file name and the prefix of every CSV id
+        if set(self.name) & set(',"\r\n/\\'):
+            raise SynthError(f"name {self.name!r} holds a comma, quote, "
+                             "line break or path separator")
         if not self.allowed_kinds:
             raise SynthError(f"{self.name}: allowed_kinds must be non-empty")
         for kind in self.allowed_kinds:
@@ -231,8 +236,8 @@ def gen_biased_dataset(
         truth.qstar[rid] = qstar
         rows.append((rid, rel_path, label))
     write_manifest_csv(os.path.join(out_dir, f"{config.name}.csv"), rows)
-    body = "".join(f"{rid},{truth.qstar[rid]!r}\n" for rid, _, _ in rows)
-    write_atomic(os.path.join(out_dir, f"{config.name}.truth.csv"), "id,qstar\n" + body)
+    text = render_csv(("id", "qstar"), (truth.qstar, truth.qstar.values()), SynthError)
+    write_atomic(os.path.join(out_dir, f"{config.name}.truth.csv"), text)
     manifest = DatasetManifest(name=config.name, records=records, labels=labels)
     return manifest, truth
 
@@ -240,14 +245,8 @@ def gen_biased_dataset(
 def load_ground_truth(path: str) -> GroundTruth:
     """Read a `id,qstar` CSV written by gen_biased_dataset."""
     truth = GroundTruth()
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "id,qstar":
-            raise SynthError(f"{path}: expected header id,qstar, got {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rid, value = line.split(",", 1)
-            truth.qstar[rid] = float(value)
+    for rid, q in read_csv(path, ("id", "qstar"), SynthError):
+        if rid in truth.qstar:
+            raise SynthError(f"{path}: duplicate id {rid!r}")
+        truth.qstar[rid] = finite_float(q, SynthError, f"{path}: qstar of id {rid!r}")
     return truth

@@ -386,6 +386,26 @@ def test_session_pins_blas_threads(blas_pin):
     assert [os.environ.get(v) for v in _BLAS_VARS] == expected
 
 
+@pytest.mark.parametrize("name", ["a,b", 'a"b', "a\nb", "a/b", "a\\b"])
+def test_synth_gen_refuses_a_name_csv_and_paths_cannot_carry(cli_env, tmp_path,
+                                                              capsys, name):
+    cfg = json.loads(open(cli_env["root"] / "alpha.config.json").read())
+    config = _write_json(tmp_path / "bad.json", cfg | {"name": name})
+    out = tmp_path / "bad"
+    assert dispatch(["synth-gen", "--config", config, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert repr(name) in capsys.readouterr().err
+
+
+def test_run_experiment_exits_2_on_a_state_that_is_not_an_object(tmp_path, capsys):
+    out = tmp_path / "exp"
+    out.mkdir()
+    (out / "state.json").write_text("[1, 2]")
+    code = dispatch(["run-experiment", "--config", "reference", "--out", str(out)])
+    assert code == 2
+    assert "state.json" in capsys.readouterr().err
+
+
 def test_exit_code_2_on_config_typos(cli_env, tmp_path, capsys):
     cfg = json.loads(open(cli_env["root"] / "alpha.config.json").read())
     typo = _write_json(tmp_path / "typo.json", cfg | {"image_szie": 64})

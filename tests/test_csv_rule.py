@@ -1,0 +1,281 @@
+"""One CSV rule for every table biqa writes and reads.
+
+dataset.render_csv writes each table and dataset.read_csv reads it back:
+the dataset manifest, the `.truth.csv`, the pair manifest and the
+cross-eval matrix. No other module parses or builds CSV text itself.
+"""
+
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from biqa.dataset import (
+    DatasetError,
+    load_manifest,
+    read_csv,
+    render_csv,
+    write_manifest_csv,
+)
+from biqa.metrics import EvalReport, MetricError, render_matrix_csv
+from biqa.png_io import write_png
+from biqa.pseudolabel import (
+    PairManifest,
+    PairSample,
+    PseudoLabelError,
+    load_pair_manifest,
+    save_pair_manifest,
+)
+from biqa.synthbench import (
+    BiasedDatasetConfig,
+    SynthError,
+    gen_biased_dataset,
+    load_ground_truth,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "biqa").glob("*.py"))
+OWNER = "dataset.py"
+
+
+def csv_breaches(source: str) -> list[int]:
+    """Line numbers that import csv or split a string on commas."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "csv":
+            lines.append(node.lineno)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("split", "rsplit")
+            and node.args[:1]
+            and isinstance(node.args[0], ast.Constant)
+            and node.args[0].value == ","
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_checker_flags_csv_imports_and_comma_splits():
+    source = "\n".join(
+        [
+            "import csv",
+            "import os, csv as c",
+            "from csv import reader",
+            "line.split(',')",
+            "line.split(',', 1)",
+            "line.rsplit(',')",
+            "line.split()",
+            "line.split(':')",
+            "','.join(parts)",
+        ]
+    )
+    assert csv_breaches(source) == [1, 2, 3, 4, 5, 6]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != OWNER],
+    ids=lambda p: f"{p.parent.name}/{p.name}",
+)
+def test_only_dataset_knows_the_csv_format(path):
+    assert csv_breaches(path.read_text(encoding="utf-8")) == []
+
+
+# ---- the renderer and the reader -----------------------------------------
+
+
+def test_render_writes_str_of_each_field():
+    text = render_csv(("k", "v"), (["a", "b"], [0.1, np.float64(2.5)]), ValueError)
+    assert text == "k,v\na,0.1\nb,2.5\n"
+    assert render_csv(("k", "v"), (), ValueError) == "k,v\n"
+
+
+@pytest.mark.parametrize("field", ["a,b", 'say "hi"', "a\nb", "a\rb"])
+def test_render_refuses_fields_it_cannot_write_unquoted(field):
+    with pytest.raises(MetricError, match="comma, quote or line break"):
+        render_csv(("k", "v"), (["ok", field], [1, 2]), MetricError)
+    with pytest.raises(MetricError, match="comma, quote or line break"):
+        render_csv(("k", field), (["ok"], [1]), MetricError)
+
+
+def test_render_refuses_a_column_count_off_the_header():
+    with pytest.raises(SynthError, match="columns"):
+        render_csv(("k", "v"), (["a"],), SynthError)
+
+
+def test_read_parses_quotes_and_skips_blank_lines(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text('k,v\n\n"a,1",2\r\nb,"x""y"\n\n')
+    assert list(read_csv(str(path), ("k", "v"), SynthError)) == [
+        ["a,1", "2"], ["b", 'x"y']
+    ]
+
+
+def test_read_checks_header_and_field_count(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("k,v,w\na,1,2\n")
+    with pytest.raises(SynthError, match=r"t\.csv: expected header k,v"):
+        list(read_csv(str(path), ("k", "v"), SynthError))
+    assert list(read_csv(str(path), ("k", "v"), SynthError, extra=True)) == [
+        ["a", "1", "2"]
+    ]
+    path.write_text("k,v\na,1\nb\n")
+    with pytest.raises(SynthError, match=r"t\.csv: line 3: ragged row with 1 fields"):
+        list(read_csv(str(path), ("k", "v"), SynthError))
+    path.write_text("")
+    with pytest.raises(SynthError, match="expected header"):
+        list(read_csv(str(path), ("k", "v"), SynthError))
+
+
+# ---- every table keeps its bytes -----------------------------------------
+
+
+def test_manifest_bytes(tmp_path):
+    path = tmp_path / "m.csv"
+    write_manifest_csv(
+        str(path),
+        [("a", "a.png", 0.1), ("b", "sub/b.png", np.float64(2.5)), ("c", "c.png", 1e-07)],
+    )
+    assert path.read_bytes() == (
+        b"id,image_path,mos\na,a.png,0.1\nb,sub/b.png,2.5\nc,c.png,1e-07\n"
+    )
+
+
+def test_generated_manifest_and_truth_bytes(tmp_path):
+    config = BiasedDatasetConfig("lit", 3, ("contrast_reduction",), "sqrt", 5, image_size=8)
+    gen_biased_dataset(config, str(tmp_path))
+    assert (tmp_path / "lit.csv").read_bytes() == (
+        b"id,image_path,mos\n"
+        b"lit_0000,lit/0000.png,0.23163189843121784\n"
+        b"lit_0001,lit/0001.png,0.8888251284811836\n"
+        b"lit_0002,lit/0002.png,0.9380813903446362\n"
+    )
+    assert (tmp_path / "lit.truth.csv").read_bytes() == (
+        b"id,qstar\n"
+        b"lit_0000,0.05365333637085001\n"
+        b"lit_0001,0.7900101090195925\n"
+        b"lit_0002,0.8799966949109258\n"
+    )
+    assert load_ground_truth(str(tmp_path / "lit.truth.csv")).qstar["lit_0001"] == (
+        0.7900101090195925
+    )
+
+
+def _pairs(per_model: bool) -> PairManifest:
+    samples = [
+        PairSample("a", "b", 0.6, (0.7, 0.5) if per_model else None),
+        PairSample("c", "a", 0.30000000000000004,
+                   (0.1, 0.5000000000000001) if per_model else None),
+    ]
+    ensemble = [{"digest": "d1", "trained_on": "s1"}, {"digest": "d2", "trained_on": "s2"}]
+    return PairManifest("pool", 2, 7, ensemble, samples)
+
+
+@pytest.mark.parametrize(
+    "per_model, text",
+    [
+        (True, b"x_id,y_id,p_r,p_r_1,p_r_2\n"
+               b"a,b,0.6,0.7,0.5\nc,a,0.30000000000000004,0.1,0.5000000000000001\n"),
+        (False, b"x_id,y_id,p_r\na,b,0.6\nc,a,0.30000000000000004\n"),
+    ],
+)
+def test_pair_manifest_bytes(tmp_path, per_model, text):
+    manifest = _pairs(per_model)
+    save_pair_manifest(manifest, str(tmp_path / "p.csv"))
+    assert (tmp_path / "p.csv").read_bytes() == text
+    assert (tmp_path / "p.json").read_bytes() == (
+        b'{\n "ensemble": [\n  {\n   "digest": "d1",\n   "trained_on": "s1"\n  },\n'
+        b'  {\n   "digest": "d2",\n   "trained_on": "s2"\n  }\n ],\n'
+        b' "n_pairs": 2,\n "pool": "pool",\n "seed": 7\n}\n'
+    )
+    assert load_pair_manifest(str(tmp_path / "p.csv")) == manifest
+
+
+def test_matrix_bytes():
+    def cell(model, trained_on, dataset, srcc, plcc):
+        return EvalReport(model, trained_on, dataset, 10, srcc, plcc, plcc)
+
+    matrix = [
+        [cell("s1-x", "x", "x", 0.9, -0.81234567), cell("s1-x", "x", "y", 0.5, 0.25)],
+        [cell("cdr", "pool", "x", 1.0, 0.999999999), cell("cdr", "pool", "y", -4e-7, 0.1)],
+    ]
+    assert render_matrix_csv(matrix) == (
+        "model,trained_on,x_srcc,x_plcc,y_srcc,y_plcc\n"
+        "s1-x,x,0.900000,-0.812346,0.500000,0.250000\n"
+        "cdr,pool,1.000000,1.000000,-0.000000,0.100000\n"
+    )
+    matrix[1] = [cell("a,b", "pool", "x", 1.0, 1.0), cell("a,b", "pool", "y", 1.0, 1.0)]
+    with pytest.raises(MetricError, match="'a,b,pool,1.000000,"):
+        render_matrix_csv(matrix)
+
+
+# ---- malformed tables are refused, naming the file -----------------------
+
+
+def test_manifest_row_with_extra_field_is_refused(tmp_path):
+    write_png(str(tmp_path / "a.png"), np.zeros((4, 4)))
+    path = tmp_path / "extra.csv"
+    path.write_text("id,image_path,mos\na,a.png,0.5,EXTRA\n")
+    with pytest.raises(DatasetError, match=r"extra\.csv: line 2: ragged row"):
+        load_manifest(str(path))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "high"])
+def test_mos_must_be_a_finite_number(tmp_path, value):
+    write_png(str(tmp_path / "a.png"), np.zeros((4, 4)))
+    path = tmp_path / "m.csv"
+    path.write_text(f"id,image_path,mos\na,a.png,{value}\n")
+    with pytest.raises(DatasetError, match=r"m\.csv: mos of id 'a'.*not a finite number"):
+        load_manifest(str(path))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "x"])
+def test_qstar_must_be_a_finite_number(tmp_path, value):
+    path = tmp_path / "t.truth.csv"
+    path.write_text(f"id,qstar\na,0.5\nb,{value}\n")
+    with pytest.raises(SynthError, match=r"truth\.csv: qstar of id 'b'.*not a finite"):
+        load_ground_truth(str(path))
+
+
+def test_truth_ids_are_unique(tmp_path):
+    path = tmp_path / "t.truth.csv"
+    path.write_text("id,qstar\na,0.5\na,0.7\n")
+    with pytest.raises(SynthError, match=r"truth\.csv: duplicate id 'a'"):
+        load_ground_truth(str(path))
+
+
+@pytest.mark.parametrize(
+    "text", ["id,qstar\na\n", "id,qstar\na,0.5,EXTRA\n", "id,qstar,extra\na,0.5,1\n"]
+)
+def test_truth_rows_and_header_have_two_fields(tmp_path, text):
+    path = tmp_path / "t.truth.csv"
+    path.write_text(text)
+    with pytest.raises(SynthError, match=r"truth\.csv: (line 2: ragged|expected header)"):
+        load_ground_truth(str(path))
+
+
+def test_non_numeric_probability_is_refused(tmp_path):
+    manifest = _pairs(per_model=True)
+    path = tmp_path / "p.csv"
+    save_pair_manifest(manifest, str(path))
+    good = path.read_text()
+    path.write_text(good.replace("a,b,0.6,", "a,b,high,"))
+    with pytest.raises(PseudoLabelError, match=r"p\.csv: non-numeric .* pair \(a, b\)"):
+        load_pair_manifest(str(path))
+    path.write_text(good.replace(",0.7,", ",?,"))
+    with pytest.raises(PseudoLabelError, match=r"p\.csv: non-numeric .* pair \(a, b\)"):
+        load_pair_manifest(str(path))
+
+
+def test_ids_holding_a_comma_are_refused(tmp_path):
+    with pytest.raises(DatasetError, match="'a,b,a.png,0.5'"):
+        write_manifest_csv(str(tmp_path / "m.csv"), [("a,b", "a.png", 0.5)])
+    assert not (tmp_path / "m.csv").exists()
+    manifest = _pairs(per_model=False)
+    manifest.samples[0] = PairSample("a,b", "c", 0.6)
+    with pytest.raises(PseudoLabelError, match="'a,b,c,0.6'"):
+        save_pair_manifest(manifest, str(tmp_path / "p.csv"))
+    assert not (tmp_path / "p.csv").exists()

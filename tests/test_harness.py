@@ -214,6 +214,13 @@ def test_experiment_state_roundtrip(tmp_path):
     assert not again.outputs_ok("demo")
 
 
+@pytest.mark.parametrize("payload", [[1, 2], "state", 3, None])
+def test_state_that_is_not_an_object_is_refused(tmp_path, payload):
+    (tmp_path / "state.json").write_text(json.dumps(payload))
+    with pytest.raises(HarnessError, match=r"state\.json"):
+        ExperimentState.load(str(tmp_path))
+
+
 @pytest.fixture(scope="module")
 def tiny_run(tmp_path_factory):
     out = str(tmp_path_factory.mktemp("run"))

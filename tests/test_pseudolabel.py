@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -359,4 +360,43 @@ def test_load_rejects_damage(tmp_path):
     with open(path, "a") as fh:
         fh.write("only,two\n")
     with pytest.raises(PseudoLabelError, match="ragged"):
+        load_pair_manifest(path)
+
+
+def _saved_pairs(tmp_path):
+    man = build_pair_manifest("pool", ["a", "b", "c"], [{"a": 0.1, "b": 0.5, "c": 0.9}],
+                              [{"trained_on": "s", "digest": "d"}], n_pairs=4, seed=0)
+    save_pair_manifest(man, str(tmp_path / "p.csv"))
+    return str(tmp_path / "p.csv"), json.loads((tmp_path / "p.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "change, key",
+    [
+        ({"n_pairs": "4"}, "n_pairs"),
+        ({"seed": "0"}, "seed"),
+        ({"pool": 7}, "pool"),
+        ({"n_pairs": 3.9}, "n_pairs"),
+        ({"seed": True}, "seed"),
+        ({"ensemble": "sd"}, "ensemble"),
+        ({"ensemble": ["s"]}, "ensemble"),
+        ({"n_pairs": None}, "n_pairs"),
+        ({"extra": 1}, "extra"),
+    ],
+)
+def test_sidecar_values_keep_their_types(tmp_path, change, key):
+    path, sidecar = _saved_pairs(tmp_path)
+    (tmp_path / "p.json").write_text(json.dumps(sidecar | change))
+    with pytest.raises(PseudoLabelError, match=rf"p\.json: .*'{key}'"):
+        load_pair_manifest(path)
+
+
+def test_sidecar_must_be_an_object_with_every_key(tmp_path):
+    path, sidecar = _saved_pairs(tmp_path)
+    del sidecar["n_pairs"]
+    (tmp_path / "p.json").write_text(json.dumps(sidecar))
+    with pytest.raises(PseudoLabelError, match=r"p\.json: .*'n_pairs'"):
+        load_pair_manifest(path)
+    (tmp_path / "p.json").write_text("[]")
+    with pytest.raises(PseudoLabelError, match=r"p\.json: .*JSON object"):
         load_pair_manifest(path)

@@ -173,6 +173,12 @@ def test_load_ground_truth_rejects_bad_header(tmp_path):
         load_ground_truth(str(path))
 
 
+@pytest.mark.parametrize("name", ["a,b", 'a"b', "a\rb", "a\nb", "a/b", "a\\b"])
+def test_config_refuses_a_name_csv_and_paths_cannot_carry(name):
+    with pytest.raises(SynthError, match="comma, quote, line break or path separator"):
+        _tiny_config(name=name)
+
+
 def test_config_from_dict_rejects_unknown_keys():
     cfg = BiasedDatasetConfig("d", 4, ("gaussian_blur",), "identity", 1, image_size=16)
     assert BiasedDatasetConfig.from_dict(cfg.to_dict()) == cfg
