@@ -70,11 +70,11 @@ class _Parser(argparse.ArgumentParser):
 def _scorer_config(path: str | None) -> ScorerConfig:
     if path is None:
         return reference_config().scorer
-    return ScorerConfig.from_dict(read_json(path))
+    return ScorerConfig.from_dict(read_json(path, ScorerError))
 
 
 def _train_config(path: str | None, default: TrainConfig, seed: int | None) -> TrainConfig:
-    cfg = default if path is None else TrainConfig.from_dict(read_json(path))
+    cfg = default if path is None else TrainConfig.from_dict(read_json(path, TrainerError))
     return cfg if seed is None else dataclasses.replace(cfg, seed=seed)
 
 
@@ -100,7 +100,7 @@ def _scores_for(params, manifest) -> dict[str, float]:
 
 
 def _cmd_synth_gen(args) -> dict:
-    config = BiasedDatasetConfig.from_dict(read_json(args.config))
+    config = BiasedDatasetConfig.from_dict(read_json(args.config, SynthError))
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     manifest, _ = gen_biased_dataset(config, args.out)

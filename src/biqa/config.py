@@ -21,9 +21,13 @@ import typing
 _SCALARS = {int: numbers.Integral, float: numbers.Real, str: str, dict: dict}
 
 
-def read_json(path: str):
+def read_json(path: str, error):
+    """The JSON value in path; error(message naming path) if it does not parse."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise error(f"{path}: {exc}") from None
 
 
 def json_text(obj) -> str:

@@ -6,19 +6,20 @@ ensemble, train a final scorer on those pairs, then evaluate everything on
 every dataset (against ground truth and against each dataset's own biased
 labels), plus pair-count and ensemble-composition ablations.
 
-Every stage runs through ExperimentRunner._stage. Artifacts are
-content-addressed (the first 12 hex chars of the file's sha256 appear in
-its name) and recorded in state.json per stage together with a signature
-over that stage's configuration and input hashes. A stage is recorded only
-after all its artifacts are in place, so a run interrupted mid-stage
-rebuilds that stage on resume. Every file (images, dataset CSVs, models,
-pair manifests, reports and state) lands through png_io.write_atomic, a
-temp file and a rename, so none is ever half-written. A rerun
-with an unchanged signature verifies each recorded artifact once and
-reuses it; a hash mismatch on a recorded artifact is refused rather than
-silently recomputed (--force rebuilds). Every RNG stream is derived from
-the experiment's master seed and a unit label, so any --threads setting
-produces byte-identical outputs.
+Every stage runs through ExperimentRunner._stage. Models and pair
+manifests are content-addressed (the first 12 hex chars of the file's
+sha256 appear in its name); data files and reports have fixed names.
+Every artifact's hash is recorded in state.json per stage together with
+a signature over that stage's configuration and input hashes. A stage is
+recorded only after all its artifacts are in place, so a run interrupted
+mid-stage rebuilds that stage on resume. Every file (images, dataset
+CSVs, models, pair manifests, reports and state) lands through
+png_io.write_atomic, a temp file and a rename, so none is ever
+half-written. A rerun with an unchanged signature verifies each recorded
+artifact once and reuses it; a hash mismatch on a recorded artifact is
+refused rather than silently recomputed (--force rebuilds). Every RNG
+stream is derived from the experiment's master seed and a unit label, so
+any --threads setting produces byte-identical outputs.
 
 All paths inside state and reports are relative to the output directory.
 """
@@ -233,7 +234,15 @@ def save_config(config: ExperimentConfig, path: str) -> None:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    return ExperimentConfig.from_dict(read_json(path))
+    return ExperimentConfig.from_dict(read_json(path, HarnessError))
+
+
+@dataclass(frozen=True)
+class StageRecord:
+    """One stage's entry in state.json."""
+
+    signature: str
+    outputs: dict
 
 
 class ExperimentState:
@@ -249,9 +258,15 @@ class ExperimentState:
         path = os.path.join(out_dir, "state.json")
         if not os.path.exists(path):
             return ExperimentState(out_dir)
-        data = read_json(path)
+        data = read_json(path, HarnessError)
         if not isinstance(data, dict) or data.get("schema") != SCHEMA_VERSION:
             raise HarnessError(f"{path}: unsupported state schema")
+        stages = data.get("stages")
+        if not isinstance(stages, dict):
+            raise HarnessError(f"{path}: 'stages' must be a JSON object, got {stages!r}")
+        for name, stage in stages.items():
+            decode(StageRecord, stage,
+                   lambda message: HarnessError(f"{path}: stage {name!r}: {message}"))
         return ExperimentState(out_dir, data)
 
     def save(self) -> None:
@@ -607,7 +622,7 @@ class ExperimentRunner:
             {"models": models, "datasets": datasets},
             build,
             lambda outputs: read_json(
-                os.path.join(self.out_dir, outputs["report"]["path"])
+                os.path.join(self.out_dir, outputs["report"]["path"]), HarnessError
             ),
         )
 

@@ -304,7 +304,6 @@ def _sidecar_path(csv_path: str) -> str:
 
 def save_pair_manifest(manifest: PairManifest, csv_path: str) -> None:
     """Write the `x_id,y_id,p_r[,p_r_1,...]` CSV and its JSON sidecar."""
-    manifest.validate()
     samples = manifest.samples
     # per-model columns when every pair has them (a short tuple raises IndexError)
     models = [s.per_model for s in samples]
@@ -321,7 +320,7 @@ def load_pair_manifest(csv_path: str) -> PairManifest:
     sidecar_path = _sidecar_path(csv_path)
     if not os.path.exists(sidecar_path):
         raise PseudoLabelError(f"missing sidecar {sidecar_path}")
-    sidecar = decode(PairSidecar, read_json(sidecar_path),
+    sidecar = decode(PairSidecar, read_json(sidecar_path, PseudoLabelError),
                      lambda message: PseudoLabelError(f"{sidecar_path}: {message}"))
     samples = []
     for row in read_csv(csv_path, ("x_id", "y_id", "p_r"), PseudoLabelError, extra=True):

@@ -6,9 +6,13 @@ regression head (hidden ReLU units, then a single linear output). All
 parameters live in one flat float64 vector described by a layout table,
 which keeps the optimizer and the serialization format trivial.
 
-forward_batch() caches everything backward() needs, and backward()
-returns the exact gradient of (upstream * score) with respect to every
-parameter. Everything runs in 64-bit and is deterministic.
+forward_batch() applies every ReLU in place and returns a trace that
+keeps only what backward() reads: per conv layer the im2col columns and
+the activation after the ReLU, the pooled features, and the hidden
+activation after the ReLU. backward() takes its ReLU masks from those
+activations (post > 0 exactly where pre > 0) and returns the exact
+gradient of (upstream * score) with respect to every parameter.
+Everything runs in 64-bit and is deterministic.
 """
 
 from __future__ import annotations
@@ -126,13 +130,14 @@ class ForwardTrace:
     """Per-layer caches from one forward pass, consumed by backward()."""
 
     config: ScorerConfig
-    batch: int
     conv_cols: list[np.ndarray]
-    conv_pre: list[np.ndarray]
+    conv_post: list[np.ndarray]
     gap: np.ndarray
-    fc1_pre: np.ndarray
     fc1_post: np.ndarray
-    scores: np.ndarray
+
+    @property
+    def batch(self) -> int:
+        return len(self.gap)
 
 
 def _reflect(i: int, n: int) -> int:
@@ -208,15 +213,6 @@ def init_params(config: ScorerConfig, seed: int) -> ScorerParams:
     return params
 
 
-def _head_forward(
-    params: ScorerParams, pooled: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    fc1_pre = pooled @ params.tensor("fc1_w") + params.tensor("fc1_b")
-    fc1_post = np.maximum(fc1_pre, 0.0)
-    scores = (fc1_post @ params.tensor("fc2_w") + params.tensor("fc2_b"))[:, 0]
-    return fc1_pre, fc1_post, scores
-
-
 def forward_batch(
     params: ScorerParams, patches: np.ndarray
 ) -> tuple[np.ndarray, ForwardTrace]:
@@ -228,7 +224,7 @@ def forward_batch(
         raise ScorerError(f"patch batch shape {x.shape}, expected (B,) + {expected}")
     b = x.shape[0]
     geometry = _conv_geometry(config)
-    conv_cols, conv_pre = [], []
+    conv_cols, conv_post = [], []
     current = x
     cin = config.channels_in
     for i, cout in enumerate(config.conv_channels):
@@ -237,27 +233,17 @@ def forward_batch(
             b, geo["out_size"] ** 2, 9 * cin
         )
         w = params.tensor(f"conv{i}_w").reshape(9 * cin, cout)
-        pre = cols @ w
-        pre += params.tensor(f"conv{i}_b")
+        current = cols @ w
+        current += params.tensor(f"conv{i}_b")
+        np.maximum(current, 0.0, out=current)
         conv_cols.append(cols)
-        conv_pre.append(pre)
-        current = np.maximum(pre, 0.0).reshape(
-            b, geo["out_size"], geo["out_size"], cout
-        )
+        conv_post.append(current)
         cin = cout
-    pooled = current.reshape(b, -1, cin).mean(axis=1)
-    fc1_pre, fc1_post, scores = _head_forward(params, pooled)
-    trace = ForwardTrace(
-        config=config,
-        batch=b,
-        conv_cols=conv_cols,
-        conv_pre=conv_pre,
-        gap=pooled,
-        fc1_pre=fc1_pre,
-        fc1_post=fc1_post,
-        scores=scores,
-    )
-    return scores, trace
+    pooled = current.mean(axis=1)
+    fc1_post = pooled @ params.tensor("fc1_w") + params.tensor("fc1_b")
+    np.maximum(fc1_post, 0.0, out=fc1_post)
+    scores = (fc1_post @ params.tensor("fc2_w") + params.tensor("fc2_b"))[:, 0]
+    return scores, ForwardTrace(config, conv_cols, conv_post, pooled, fc1_post)
 
 
 def backward(
@@ -278,7 +264,7 @@ def backward(
     grad.tensor("fc2_w")[...] = trace.fc1_post.T @ d_score
     grad.tensor("fc2_b")[...] = d_score.sum(axis=0)
     d_fc1_post = d_score @ params.tensor("fc2_w").T
-    d_fc1_pre = d_fc1_post * (trace.fc1_pre > 0.0)
+    d_fc1_pre = d_fc1_post * (trace.fc1_post > 0.0)
     grad.tensor("fc1_w")[...] = trace.gap.T @ d_fc1_pre
     grad.tensor("fc1_b")[...] = d_fc1_pre.sum(axis=0)
     d_gap = d_fc1_pre @ params.tensor("fc1_w").T
@@ -293,7 +279,7 @@ def backward(
     for i in range(len(config.conv_channels) - 1, -1, -1):
         geo = geometry[i]
         cin, cout = channel_in[i], config.conv_channels[i]
-        d_pre = d_post * (trace.conv_pre[i] > 0.0)
+        d_pre = d_post * (trace.conv_post[i] > 0.0)
         cols = trace.conv_cols[i]
         grad.tensor(f"conv{i}_w")[...] = (
             cols.reshape(-1, 9 * cin).T @ d_pre.reshape(-1, cout)

@@ -81,7 +81,7 @@ def test_gen_pairs_seed_defaults_to_zero(cli_env, tmp_path):
         assert dispatch(["gen-pairs", "--models", cli_env["alpha_model"],
                          "--pool", cli_env["alpha"], "--n-pairs", "10",
                          "--out", out, *seed]) == 0
-        return open(out, "rb").read()
+        return Path(out).read_bytes()
 
     assert pairs() == pairs("--seed", "0")
 
@@ -111,8 +111,8 @@ def test_synth_gen_seed_override(cli_env, tmp_path):
     cfg = str(cli_env["root"] / "alpha.config.json")
     out = str(tmp_path / "reseeded")
     assert dispatch(["synth-gen", "--config", cfg, "--out", out, "--seed", "99"]) == 0
-    base = open(cli_env["alpha"]).read().splitlines()
-    moved = open(os.path.join(out, "alpha.csv")).read().splitlines()
+    base = Path(cli_env["alpha"]).read_text().splitlines()
+    moved = Path(out, "alpha.csv").read_text().splitlines()
     assert base != moved  # different draws, different labels
     assert [r.split(",")[0] for r in base] == [r.split(",")[0] for r in moved]
 
@@ -194,7 +194,7 @@ def test_cross_eval_csv(cli_env, tmp_path, capsys):
     lines = stdout.strip().split("\n")
     assert lines[0] == "model,trained_on,alpha_srcc,alpha_plcc,beta_srcc,beta_plcc"
     assert len(lines) == 3
-    assert open(out_csv).read() == stdout
+    assert Path(out_csv).read_text() == stdout
 
 
 def test_cross_eval_json_matrix(cli_env, capsys):
@@ -213,7 +213,7 @@ def test_cross_eval_json_matrix(cli_env, capsys):
 def test_cross_eval_scores_each_dataset_on_its_own_images(cli_env, tmp_path, capsys):
     # b2 holds beta's images under alpha's ids
     beta_dir = os.path.dirname(cli_env["beta"])
-    lines = open(cli_env["beta"], encoding="utf-8").read().splitlines()
+    lines = Path(cli_env["beta"]).read_text(encoding="utf-8").splitlines()
     rows = [line.split(",") for line in lines[1:]]
     b2 = tmp_path / "b2.csv"
     b2.write_text(lines[0] + "\n" + "".join(
@@ -389,7 +389,7 @@ def test_session_pins_blas_threads(blas_pin):
 @pytest.mark.parametrize("name", ["a,b", 'a"b', "a\nb", "a/b", "a\\b"])
 def test_synth_gen_refuses_a_name_csv_and_paths_cannot_carry(cli_env, tmp_path,
                                                               capsys, name):
-    cfg = json.loads(open(cli_env["root"] / "alpha.config.json").read())
+    cfg = json.loads((cli_env["root"] / "alpha.config.json").read_text())
     config = _write_json(tmp_path / "bad.json", cfg | {"name": name})
     out = tmp_path / "bad"
     assert dispatch(["synth-gen", "--config", config, "--out", str(out)]) == 2
@@ -400,14 +400,15 @@ def test_synth_gen_refuses_a_name_csv_and_paths_cannot_carry(cli_env, tmp_path,
 def test_run_experiment_exits_2_on_a_state_that_is_not_an_object(tmp_path, capsys):
     out = tmp_path / "exp"
     out.mkdir()
-    (out / "state.json").write_text("[1, 2]")
-    code = dispatch(["run-experiment", "--config", "reference", "--out", str(out)])
-    assert code == 2
-    assert "state.json" in capsys.readouterr().err
+    for text in ["[1, 2]", '{"schema": 1, "stages": {']:
+        (out / "state.json").write_text(text)
+        code = dispatch(["run-experiment", "--config", "reference", "--out", str(out)])
+        assert code == 2
+        assert "state.json" in capsys.readouterr().err
 
 
 def test_exit_code_2_on_config_typos(cli_env, tmp_path, capsys):
-    cfg = json.loads(open(cli_env["root"] / "alpha.config.json").read())
+    cfg = json.loads((cli_env["root"] / "alpha.config.json").read_text())
     typo = _write_json(tmp_path / "typo.json", cfg | {"image_szie": 64})
     out = tmp_path / "typo"
     assert dispatch(["synth-gen", "--config", typo, "--out", str(out)]) == 2

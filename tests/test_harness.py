@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,7 +215,13 @@ def test_experiment_state_roundtrip(tmp_path):
     assert not again.outputs_ok("demo")
 
 
-@pytest.mark.parametrize("payload", [[1, 2], "state", 3, None])
+@pytest.mark.parametrize("payload", [
+    [1, 2], "state", 3, None,
+    {"schema": 1, "stages": []},
+    {"schema": 1, "stages": {"data": 5}},
+    {"schema": 1},
+    {"schema": 1, "stages": {"data": {"outputs": {}}}},
+])
 def test_state_that_is_not_an_object_is_refused(tmp_path, payload):
     (tmp_path / "state.json").write_text(json.dumps(payload))
     with pytest.raises(HarnessError, match=r"state\.json"):
@@ -241,7 +248,7 @@ def test_run_all_produces_reports(tiny_run):
     ]:
         assert os.path.exists(os.path.join(out, rel)), rel
     assert set(summary["models"]["stage1"]) == {"blurs", "noises"}
-    report = json.load(open(os.path.join(out, "reports/cross-eval.json")))
+    report = json.loads(Path(out, "reports/cross-eval.json").read_text())
     oracle = report["oracle_vs_qstar"]
     for cell in oracle:
         assert cell["srcc"] == pytest.approx(1.0, abs=1e-12)
@@ -249,7 +256,7 @@ def test_run_all_produces_reports(tiny_run):
 
 def test_run_all_matrix_shape(tiny_run):
     out, _ = tiny_run
-    report = json.load(open(os.path.join(out, "reports/cross-eval.json")))
+    report = json.loads(Path(out, "reports/cross-eval.json").read_text())
     # rows: one per stage-1 scorer plus the fused model
     assert len(report["vs_qstar"]) == 3
     assert all(len(row) == 2 for row in report["vs_qstar"])

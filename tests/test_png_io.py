@@ -1,6 +1,7 @@
 import os
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,7 +66,7 @@ def test_deterministic_bytes(tmp_path):
     p1, p2 = str(tmp_path / "a.png"), str(tmp_path / "b.png")
     write_png(p1, img)
     write_png(p2, img)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_out_of_range_values_clip(tmp_path):
@@ -96,8 +97,8 @@ def test_rejects_non_png(tmp_path):
 def test_rejects_truncated_idat(tmp_path):
     path = str(tmp_path / "t.png")
     write_png(path, np.zeros((8, 8)))
-    blob = open(path, "rb").read()
-    open(path, "wb").write(blob[:-20])
+    blob = Path(path).read_bytes()
+    Path(path).write_bytes(blob[:-20])
     with pytest.raises(PngError):
         read_png(path)
 

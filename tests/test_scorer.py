@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -273,16 +275,20 @@ def test_forward_backward_bit_identical_to_reference(
     # conv0's gradient passes through every col2im, so it must not be all zero
     assert np.count_nonzero(ScorerParams(cfg, grad).tensor("conv0_w")) > 0
 
+    # ReLU kinks: with init_params' zero biases, a black first patch (all but
+    # its last row and column) puts pre-activations at exactly 0 in every layer
+    kink_params = init_params(cfg, seed=patch_size + channels_in)
+    x[0, :-1, :-1] = 0.0
+    scores, trace = forward_batch(kink_params, x)
+    assert all((~cols[0].any(axis=1)).any() for cols in trace.conv_cols)
+    grad = backward(trace, kink_params, upstream)
+    ref_scores, ref_grad = _reference_forward_backward(kink_params, x, upstream)
+    assert np.array_equal(scores, ref_scores)
+    assert np.array_equal(grad, ref_grad)
+
 
 def _trace_arrays(trace):
-    return [
-        *trace.conv_cols,
-        *trace.conv_pre,
-        trace.gap,
-        trace.fc1_pre,
-        trace.fc1_post,
-        trace.scores,
-    ]
+    return [*trace.conv_cols, *trace.conv_post, trace.gap, trace.fc1_post]
 
 
 def test_forward_and_backward_leave_their_inputs_unchanged():
@@ -346,7 +352,7 @@ def test_save_bytes_equal_serialize(tmp_path):
     params = init_params(_cfg(), seed=4)
     path = str(tmp_path / "m.bin")
     save_params(params, path)
-    assert open(path, "rb").read() == serialize_params(params)
+    assert Path(path).read_bytes() == serialize_params(params)
 
 
 def test_load_rejects_garbage(tmp_path):
@@ -360,8 +366,8 @@ def test_load_rejects_corruption(tmp_path):
     params = init_params(_cfg(), seed=4)
     path = str(tmp_path / "m.bin")
     save_params(params, path)
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     blob[50] ^= 0xFF
-    open(path, "wb").write(bytes(blob))
+    Path(path).write_bytes(bytes(blob))
     with pytest.raises(ScorerError, match="checksum"):
         load_params(path)
