@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .png_io import PngError, read_png, write_atomic
-from .rng import SplitMix64
+from .rng import SplitMix64, unit
 
 
 class DatasetError(Exception):
@@ -63,8 +63,6 @@ class DatasetManifest:
 class Split:
     train_ids: tuple[str, ...]
     test_ids: tuple[str, ...]
-    seed: int
-    fraction: float
 
 
 def _as_record_pixels(arr: np.ndarray) -> np.ndarray:
@@ -137,12 +135,7 @@ def split_dataset(manifest: DatasetManifest, seed: int, fraction: float = 0.8) -
         )
     rng = SplitMix64(seed)
     rng.shuffle(ids)
-    return Split(
-        train_ids=tuple(ids[:n_train]),
-        test_ids=tuple(ids[n_train:]),
-        seed=seed,
-        fraction=fraction,
-    )
+    return Split(train_ids=tuple(ids[:n_train]), test_ids=tuple(ids[n_train:]))
 
 
 def sample_patches(
@@ -155,22 +148,25 @@ def sample_patches(
     """n random square crops, each independently mirrored with p=0.5,
     as an (n, size, size, C) array.
 
-    Per patch the stream is consumed in the order: top row, left column,
-    then (when allow_flip) one uniform compared against 0.5.
+    The stream gives one block of n rows of words, 3 per row when
+    allow_flip and 2 otherwise: top row = word 0 mod (height - size + 1),
+    left column = word 1 mod (width - size + 1), and the patch is
+    mirrored when unit(word 2) < 0.5.
     """
     if record.height < size or record.width < size:
         raise DatasetError(
             f"record {record.id!r} is {record.width}x{record.height}, "
             f"smaller than patch size {size}"
         )
+    per_patch = 3 if allow_flip else 2
+    words = rng.next_u64_block(n * per_patch).reshape(n, per_patch)
+    tops = (words[:, 0] % (record.height - size + 1)).tolist()
+    lefts = (words[:, 1] % (record.width - size + 1)).tolist()
+    flips = (unit(words[:, 2]) < 0.5).tolist() if allow_flip else [False] * n
     patches = np.empty((n, size, size, record.channels), dtype=record.pixels.dtype)
-    for k in range(n):
-        top = rng.randbelow(record.height - size + 1)
-        left = rng.randbelow(record.width - size + 1)
+    for k, (top, left, flip) in enumerate(zip(tops, lefts, flips)):
         window = record.pixels[top : top + size, left : left + size, :]
-        if allow_flip and rng.uniform() < 0.5:
-            window = window[:, ::-1, :]
-        patches[k] = window
+        patches[k] = window[:, ::-1, :] if flip else window
     return patches
 
 

@@ -245,6 +245,10 @@ class StageRecord:
     outputs: dict
 
 
+# the keys of one stage output: a file or a directory of files, and its sha256
+_ENTRY_KEYS = ({"path", "sha256"}, {"tree", "sha256"})
+
+
 class ExperimentState:
     """state.json: per-stage signatures and produced artifact hashes."""
 
@@ -265,8 +269,13 @@ class ExperimentState:
         if not isinstance(stages, dict):
             raise HarnessError(f"{path}: 'stages' must be a JSON object, got {stages!r}")
         for name, stage in stages.items():
-            decode(StageRecord, stage,
-                   lambda message: HarnessError(f"{path}: stage {name!r}: {message}"))
+            record = decode(StageRecord, stage,
+                            lambda message: HarnessError(f"{path}: stage {name!r}: {message}"))
+            for key, entry in record.outputs.items():
+                if not (isinstance(entry, dict) and set(entry) in _ENTRY_KEYS
+                        and all(isinstance(v, str) for v in entry.values())):
+                    raise HarnessError(f"{path}: stage {name!r}: output {key!r} must hold "
+                                       f"a str 'sha256' and one str 'path' or 'tree', got {entry!r}")
         return ExperimentState(out_dir, data)
 
     def save(self) -> None:

@@ -19,7 +19,7 @@ from .config import decode
 from .dataset import (DatasetManifest, ImageRecord, finite_float, read_csv,
                       render_csv, write_manifest_csv)
 from .png_io import write_atomic, write_png
-from .rng import SplitMix64, derive_seed, spawn
+from .rng import SplitMix64, derive_seed, spawn, unit
 
 KINDS = ("gaussian_blur", "additive_noise", "contrast_reduction")
 
@@ -111,9 +111,10 @@ def gen_base_image(size: int, seed: int) -> ImageRecord:
     """Procedural grayscale texture, normalized to span [0, 1] exactly.
 
     Three sinusoid gratings with random frequency, orientation, phase and
-    amplitude, plus per-pixel uniform value noise at amplitude 0.05. Draw
-    order per grating: frequency, orientation, phase, amplitude; the noise
-    block is drawn last.
+    amplitude, plus per-pixel uniform value noise at amplitude 0.05. The
+    stream gives one block of 12 uniforms, 4 per grating in the order
+    frequency, orientation, phase, amplitude, then the size*size noise
+    block.
     """
     if size < 8:
         raise SynthError(f"image size must be >= 8, got {size}")
@@ -124,11 +125,11 @@ def gen_base_image(size: int, seed: int) -> ImageRecord:
         indexing="ij",
     )
     img = np.zeros((size, size), dtype=np.float64)
-    for _ in range(3):
-        freq = 1.0 + 5.0 * rng.uniform()
-        theta = np.pi * rng.uniform()
-        phase = 2.0 * np.pi * rng.uniform()
-        amp = 0.5 + 0.5 * rng.uniform()
+    for u_freq, u_theta, u_phase, u_amp in rng.uniform_block(12).reshape(3, 4).tolist():
+        freq = 1.0 + 5.0 * u_freq
+        theta = np.pi * u_theta
+        phase = 2.0 * np.pi * u_phase
+        amp = 0.5 + 0.5 * u_amp
         axis = xx * np.cos(theta) + yy * np.sin(theta)
         img += amp * np.sin(2.0 * np.pi * freq * axis / size + phase)
     img += 0.05 * (2.0 * rng.uniform_block(size * size).reshape(size, size) - 1.0)
@@ -204,8 +205,9 @@ def gen_biased_dataset(
 
     Writes `<name>/NNNN.png` images, a `<name>.csv` manifest and a sibling
     `<name>.truth.csv` with header `id,qstar`. Per image i the stream
-    spawn(seed, "img", i) yields: magnitude, kind index, then the noise
-    block when the kind needs one; the base texture seed is
+    spawn(seed, "img", i) gives a 2-word block, magnitude = unit(word 0)
+    and kind = allowed_kinds[word 1 mod len(allowed_kinds)], then the
+    noise block when the kind needs one; the base texture seed is
     derive_seed(seed, "base", i).
     """
     img_dir = os.path.join(out_dir, config.name)
@@ -218,8 +220,9 @@ def gen_biased_dataset(
     for i in range(config.n_images):
         rid = f"{config.name}_{i:04d}"
         stream = spawn(config.seed, "img", i)
-        magnitude = stream.uniform()
-        kind = config.allowed_kinds[stream.randbelow(len(config.allowed_kinds))]
+        words = stream.next_u64_block(2)
+        magnitude = float(unit(words[0]))
+        kind = config.allowed_kinds[int(words[1] % len(config.allowed_kinds))]
         base = gen_base_image(config.image_size, derive_seed(config.seed, "base", i))
         degraded = apply_degradation(
             ImageRecord(id=rid, pixels=base.pixels),

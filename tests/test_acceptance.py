@@ -240,8 +240,8 @@ def test_acceptance_05_pseudolabel_properties(capsys):
 
     bounded_ok = True
     for _ in range(1000):
-        k = 1 + rng.randbelow(5)
-        probs = [0.2689 + 0.4622 * rng.uniform() for _ in range(k)]
+        k = 1 + int(rng.next_u64_block(1)[0] % 5)
+        probs = (0.2689 + 0.4622 * rng.uniform_block(k)).tolist()
         p = ensemble_pseudolabel(probs)
         bounded_ok = bounded_ok and min(probs) <= p <= max(probs)
 

@@ -400,7 +400,8 @@ def test_synth_gen_refuses_a_name_csv_and_paths_cannot_carry(cli_env, tmp_path,
 def test_run_experiment_exits_2_on_a_state_that_is_not_an_object(tmp_path, capsys):
     out = tmp_path / "exp"
     out.mkdir()
-    for text in ["[1, 2]", '{"schema": 1, "stages": {']:
+    entry = '{"schema": 1, "stages": {"data": {"signature": "s", "outputs": {"csv:a": "x"}}}}'
+    for text in ["[1, 2]", '{"schema": 1, "stages": {', entry]:
         (out / "state.json").write_text(text)
         code = dispatch(["run-experiment", "--config", "reference", "--out", str(out)])
         assert code == 2

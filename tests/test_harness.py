@@ -315,6 +315,23 @@ def test_stale_artifact_refused_then_forced(tiny_run, tmp_path):
     assert _tree_hashes(work) == _tree_hashes(out)
 
 
+@pytest.mark.parametrize("stage, key, damage", [
+    ("data", "csv:blurs", lambda e: {"path": e["path"]}),
+    ("data", "csv:blurs", lambda e: "x"),
+    ("stage1", "model:blurs", lambda e: "x"),
+    ("data", "images:blurs", lambda e: e | {"path": "data/blurs.csv"}),
+    ("stage1", "model:noises", lambda e: e | {"sha256": 5}),
+], ids=["no-sha256", "data-str", "model-str", "path-and-tree", "int-sha256"])
+def test_malformed_output_entry_is_refused(tiny_run, tmp_path, stage, key, damage):
+    out, _ = tiny_run
+    state = json.loads(Path(out, "state.json").read_text())
+    outputs = state["stages"][stage]["outputs"]
+    outputs[key] = damage(outputs[key])
+    (tmp_path / "state.json").write_text(json.dumps(state))
+    with pytest.raises(HarnessError, match=rf"state\.json: stage '{stage}': output '{key}'"):
+        ExperimentRunner(_tiny_config(), str(tmp_path), threads=1).run_all()
+
+
 def test_different_master_seed_changes_models(tiny_run, tmp_path):
     out, _ = tiny_run
     other = str(tmp_path / "reseeded")

@@ -26,6 +26,8 @@ from biqa.metrics import (
 from biqa.rng import SplitMix64
 from biqa.trainer import stable_sigmoid
 
+from splitmix_oracle import ScalarSplitMix64
+
 
 def test_rank_average_basic_and_ties():
     assert rank_average([10.0, 30.0, 20.0]).tolist() == [1.0, 3.0, 2.0]
@@ -316,7 +318,7 @@ def test_evaluate_populates_report():
 
 
 def _manifest(name, n, seed):
-    rng = SplitMix64(seed)
+    rng = ScalarSplitMix64(seed)
     records = [
         ImageRecord(id=f"{name}{i:03d}", pixels=np.zeros((4, 4, 1))) for i in range(n)
     ]

@@ -20,8 +20,11 @@ from biqa.pseudolabel import (
     save_pair_manifest,
     score_pool,
 )
-from biqa.rng import MASK64, SplitMix64, derive_seed, mix64
+from biqa.rng import MASK64, SplitMix64, derive_seed
 from biqa.scorer import ScorerConfig, forward_batch, init_params, params_digest
+
+from splitmix_oracle import ScalarSplitMix64, mix64
+
 
 _CFG = ScorerConfig(patch_size=8, channels_in=1, conv_channels=(2, 3), hidden=4)
 
@@ -42,7 +45,7 @@ def test_relative_prob_complement_within_ulp():
 
 
 def test_relative_prob_bounds_for_unit_scores():
-    rng = SplitMix64(8)
+    rng = ScalarSplitMix64(8)
     lo, hi = 1.0, 0.0
     for _ in range(500):
         p = relative_prob(rng.uniform(), rng.uniform())
@@ -316,7 +319,7 @@ def test_pair_manifest_validate_rejects_bad_rows():
 
 def test_save_load_roundtrip(tmp_path):
     ids = [f"i{k}" for k in range(5)]
-    rng = SplitMix64(3)
+    rng = ScalarSplitMix64(3)
     table = [{i: rng.uniform() for i in ids} for _ in range(3)]
     prov = [{"trained_on": f"s{j}", "digest": f"d{j}"} for j in range(3)]
     man = build_pair_manifest("pool", ids, table, prov, n_pairs=8, seed=2,

@@ -1,28 +1,32 @@
 import numpy as np
 import pytest
 
-from biqa.rng import GAMMA, MASK64, SplitMix64, derive_seed, mix64, mix64_block, spawn
+from biqa.rng import GAMMA, MASK64, SplitMix64, derive_seed, mix64_block, spawn, unit
+
+from splitmix_oracle import ScalarSplitMix64, mix64
 
 
 def test_mix64_known_values():
     # splitmix64 reference outputs for seed 0: mix64 applied to the
     # sequence seed + k*GAMMA, cross-checked against the published C code.
-    stream = SplitMix64(0)
     expected = [
         0xE220A8397B1DCDAF,
         0x6E789E6AA1B965F4,
         0x06C45D188009454F,
     ]
-    assert [stream.next_u64() for _ in range(3)] == expected
+    assert SplitMix64(0).next_u64_block(3).tolist() == expected
+    oracle = ScalarSplitMix64(0)
+    assert [oracle.next_u64() for _ in range(3)] == expected
 
 
 def test_mix64_masks_input():
-    assert mix64(2**64 + 5) == mix64(5)
-    assert 0 <= mix64(MASK64) <= MASK64
+    # the oracle reduces its input mod 2**64, as a uint64 word is
+    assert mix64(2**64 + 5) == mix64(5) == int(mix64_block(np.uint64(5)))
+    assert mix64(MASK64) == int(mix64_block(np.uint64(MASK64)))
 
 
 def test_mix64_block_equals_scalar():
-    rng = SplitMix64(41)
+    rng = ScalarSplitMix64(41)
     words = (
         [0, 1, MASK64, MASK64 - 1]
         + [(k * GAMMA) & MASK64 for k in range(1, 65)]
@@ -34,14 +38,12 @@ def test_mix64_block_equals_scalar():
 
 
 def test_counter_based_restart():
-    a = SplitMix64(123)
-    first = [a.next_u64() for _ in range(10)]
-    b = SplitMix64(123)
-    assert [b.next_u64() for _ in range(10)] == first
+    first = SplitMix64(123).next_u64_block(10)
+    assert np.array_equal(SplitMix64(123).next_u64_block(10), first)
 
 
 def test_block_matches_scalar():
-    a = SplitMix64(99)
+    a = ScalarSplitMix64(99)
     b = SplitMix64(99)
     scalar = np.array([a.next_u64() for _ in range(257)], dtype=np.uint64)
     block = b.next_u64_block(257)
@@ -52,10 +54,24 @@ def test_block_matches_scalar():
 def test_block_continues_stream():
     a = SplitMix64(7)
     a.next_u64_block(5)
-    b = SplitMix64(7)
+    b = ScalarSplitMix64(7)
     for _ in range(5):
         b.next_u64()
-    assert a.next_u64() == b.next_u64()
+    assert a.next_u64_block(1).tolist() == [b.next_u64()]
+    assert a.counter == b.counter == 6
+    whole = SplitMix64(7).next_u64_block(9)
+    assert np.array_equal(np.concatenate([whole[:6], a.next_u64_block(3)]), whole)
+
+
+def test_uniform_block_matches_scalar():
+    a = ScalarSplitMix64(13)
+    b = SplitMix64(13)
+    scalar = [a.uniform() for _ in range(300)]
+    assert b.uniform_block(300).tolist() == scalar
+    assert a.counter == b.counter == 300
+    # unit() of one word is the same rule
+    assert float(unit(SplitMix64(13).next_u64_block(1)[0])) == scalar[0]
+    assert unit(np.array([0, MASK64], dtype=np.uint64)).tolist() == [0.0, 1.0 - 2.0**-53]
 
 
 def test_uniform_range_and_determinism():
@@ -67,11 +83,12 @@ def test_uniform_range_and_determinism():
 
 
 def test_normal_block_matches_scalar():
-    a = SplitMix64(11)
+    a = ScalarSplitMix64(11)
     b = SplitMix64(11)
     scalar = np.array([a.normal() for _ in range(100)])
     block = b.normal_block(100)
     assert np.allclose(scalar, block, rtol=0, atol=0)
+    assert a.counter == b.counter == 200
 
 
 def test_normal_block_moments():
@@ -81,9 +98,12 @@ def test_normal_block_moments():
 
 
 def test_randbelow_bounds():
-    rng = SplitMix64(1)
+    # the oracle's randbelow is the word-mod-bound rule of sample_patches
+    # and shuffle
+    rng = ScalarSplitMix64(1)
     draws = [rng.randbelow(7) for _ in range(1000)]
     assert min(draws) == 0 and max(draws) == 6
+    assert (SplitMix64(1).next_u64_block(1000) % 7).tolist() == draws
     with pytest.raises(ValueError):
         rng.randbelow(0)
 
@@ -97,6 +117,22 @@ def test_shuffle_is_permutation_and_deterministic():
     SplitMix64(17).shuffle(seq2)
     assert seq == seq2
     assert seq != list(range(50))  # astronomically unlikely to be identity
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 240, 5000])
+@pytest.mark.parametrize("offset", [0, 3])
+def test_shuffle_matches_scalar(n, offset):
+    a = ScalarSplitMix64(23)
+    b = SplitMix64(23)
+    for _ in range(offset):
+        a.next_u64()
+    b.next_u64_block(offset)
+    scalar, block = list(range(n)), list(range(n))
+    a.shuffle(scalar)
+    b.shuffle(block)
+    assert block == scalar
+    # n-1 words, none for n <= 1
+    assert a.counter == b.counter == offset + max(n - 1, 0)
 
 
 def test_derive_seed_stable_and_label_sensitive():
@@ -113,7 +149,8 @@ def test_derive_seed_int_labels():
 
 
 def test_spawn_equivalent_to_derive():
-    assert spawn(9, "x").next_u64() == SplitMix64(derive_seed(9, "x")).next_u64()
+    first = SplitMix64(derive_seed(9, "x")).next_u64_block(1).tolist()
+    assert spawn(9, "x").next_u64_block(1).tolist() == first
 
 
 def test_gamma_is_odd():

@@ -25,6 +25,8 @@ from biqa.trainer import (
     train_single,
 )
 
+from splitmix_oracle import ScalarSplitMix64
+
 
 def test_train_config_validation():
     with pytest.raises(TrainerError):
@@ -272,7 +274,7 @@ def test_train_single_reduces_loss():
 
 
 def _toy_pairs(store_ids, n, seed=0):
-    rng = SplitMix64(seed)
+    rng = ScalarSplitMix64(seed)
     samples = []
     for _ in range(n):
         x = store_ids[rng.randbelow(len(store_ids))]
