@@ -199,18 +199,19 @@ def render_csv(header, columns, error) -> str:
     return text
 
 
-def read_csv(path: str, header: tuple[str, ...], error, extra: bool = False):
+def read_csv(path: str, header: tuple[str, ...], error, extra: tuple[str, ...] = ()):
     """Yield each row after the header of the CSV at path as a list of
     strings (quotes parsed as csv.reader parses them, blank lines skipped).
-    The header must be `header`, or begin with it when `extra`, and every
-    row must have its field count; error(message) names the file and line."""
+    The header must be `header` or `header + extra`, and every row must
+    have its field count; error(message) names the file and line."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             first = next(reader, [])
             n = len(first)
-            if first[: len(header)] != [*header] or n > len(header) and not extra:
-                raise error(f"{path}: expected header {','.join(header)}, "
+            if first not in ([*header], [*header, *extra]):
+                optional = f"[,{','.join(extra)}]" if extra else ""
+                raise error(f"{path}: expected header {','.join(header)}{optional}, "
                             f"got {','.join(first)!r}")
             for row in reader:
                 if len(row) == n:

@@ -551,7 +551,7 @@ class ExperimentRunner:
                 for n in rungs:
                     # the final names hold the CSV's digest: save, hash, rename
                     tmp = os.path.join(self.out_dir, "pairs", f".tmp-{tag}-n{n}")
-                    rung = replace(full, n_pairs=n, samples=full.samples[:n])
+                    rung = replace(full, n_pairs=n, x=full.x[:n], y=full.y[:n], p_r=full.p_r[:n])
                     save_pair_manifest(rung, tmp + ".csv")
                     digest = sha256_file(tmp + ".csv")
                     rel = f"pairs/pairs-{tag}-n{n}-{digest[:12]}"

@@ -14,12 +14,11 @@ space by a keyed Feistel permutation with cycle walking, so pair lists
 are uniform, duplicate-free, cheap at millions of pairs, and nested:
 the first k pairs of a longer run equal the k-pair run for the same seed.
 
-Both steps work on whole arrays. The permutation runs over a uint64 array
-of pair indices, and labelling is vectorized per teacher: one sigmoid
-over all of a model's score differences. Only the exactly rounded mean
-over models (ensemble_pseudolabel) and the PairSample objects stay
-per-pair Python steps. The per-model probabilities equal the scalar
-definition relative_prob bit for bit.
+Both steps work on whole arrays: the uint64 Feistel permutation, one
+sigmoid per model over all its score differences (bit-equal to
+relative_prob), and math.fsum's mean per pair (bit-equal to
+ensemble_pseudolabel). A PairManifest holds its pairs as index and
+probability columns; its `samples` property builds PairSample rows.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from .scorer import ScorerParams, forward_batch, load_params, params_digest
 from .trainer import stable_sigmoid
 
 _FEISTEL_ROUNDS = 4
-_LABEL_CHUNK = 65536
 # images per forward_batch call wherever fixed crops are scored
 SCORE_BATCH = 256
 
@@ -110,23 +108,61 @@ class PairSidecar:
 
 @dataclass
 class PairManifest(PairSidecar):
-    samples: list[PairSample]
+    """Pair i is (ids[x[i]], ids[y[i]]) with pseudo-label p_r[i] and, when
+    kept, per_model[i]: one probability per ensemble member."""
+
+    ids: list[str]
+    x: np.ndarray
+    y: np.ndarray
+    p_r: np.ndarray
+    per_model: np.ndarray | None = None
+
+    @property
+    def samples(self) -> list[PairSample]:
+        """The pairs as PairSample rows: a new list on each read, whose item
+        assignment also writes the row into these columns."""
+        ids = np.array(self.ids, dtype=object)
+        per_model = None if self.per_model is None else map(tuple, self.per_model.tolist())
+        rows = _Samples(map(PairSample, ids[self.x].tolist(), ids[self.y].tolist(),
+                            self.p_r.tolist(), per_model or [None] * len(self.p_r)))
+        rows.manifest = self
+        return rows
+
+    def __eq__(self, other):  # equal sidecars and pairs, whatever the order of ids
+        return PairSidecar.__eq__(self, other) is True and self.samples == other.samples
 
     def validate(self) -> None:
-        if self.n_pairs != len(self.samples):
-            raise PseudoLabelError(
-                f"n_pairs {self.n_pairs} != {len(self.samples)} samples"
-            )
-        seen = set()
-        for s in self.samples:
+        n, k = len(self.p_r), len(self.ensemble)
+        if self.n_pairs != n:
+            raise PseudoLabelError(f"n_pairs {self.n_pairs} != {n} samples")
+        if self.per_model is not None and self.per_model.shape != (n, k):
+            raise PseudoLabelError(f"per_model shape {self.per_model.shape} != ({n}, {k})")
+        again = np.ones(n, dtype=bool)  # np.unique's stable sort finds each pair's first
+        again[np.unique(self.x * len(self.ids) + self.y, return_index=True)[1]] = False
+        bad = (self.x == self.y) | ~((self.p_r > 0.0) & (self.p_r < 1.0)) | again
+        if bad.any():  # report the first bad pair as a per-pair check would
+            s = self.samples[bad.argmax()]
             if s.x_id == s.y_id:
                 raise PseudoLabelError(f"self-pair {s.x_id!r}")
             if not 0.0 < s.p_r < 1.0:
                 raise PseudoLabelError(f"pair ({s.x_id}, {s.y_id}): p_r {s.p_r}")
-            key = (s.x_id, s.y_id)
-            if key in seen:
-                raise PseudoLabelError(f"duplicate ordered pair {key}")
-            seen.add(key)
+            raise PseudoLabelError(f"duplicate ordered pair {(s.x_id, s.y_id)}")
+
+
+class _Samples(list):
+    """PairManifest.samples: assigning a row also writes it into the columns."""
+
+    def __setitem__(self, i, s: PairSample) -> None:
+        m, i = self.manifest, range(len(self))[i]
+        width = None if m.per_model is None else m.per_model.shape[1]
+        if (None if s.per_model is None else len(s.per_model)) != width:
+            raise PseudoLabelError(f"pair ({s.x_id}, {s.y_id}): per_model {s.per_model} "
+                                   f"does not fit per-model width {width}")
+        super().__setitem__(i, s)  # refuses a slice before the columns change
+        m.ids = [*m.ids, *(j for j in dict.fromkeys((s.x_id, s.y_id)) if j not in m.ids)]
+        m.x[i], m.y[i], m.p_r[i] = m.ids.index(s.x_id), m.ids.index(s.y_id), s.p_r
+        if width is not None:
+            m.per_model[i] = s.per_model
 
 
 def relative_prob(q_x: float, q_y: float) -> float:
@@ -184,19 +220,11 @@ def score_pool(
     return table
 
 
-def _pair_from_index(k: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, rem = np.divmod(k, np.uint64(n - 1))
-    return x, rem + (rem >= x)
-
-
-def sample_pairs(
-    image_ids: list[str], n_pairs: int, seed: int
-) -> list[tuple[str, str]]:
-    """First n_pairs of a keyed permutation of all ordered pairs."""
-    ids = list(image_ids)
-    n = len(ids)
-    if n < 2:
-        raise PseudoLabelError("need at least 2 images to form pairs")
+def sample_pairs(image_ids: list[str], n_pairs: int, seed: int) -> tuple[np.ndarray, ...]:
+    """First n_pairs of a keyed permutation of all ordered pairs: x, y index image_ids."""
+    n = len(image_ids)
+    if n < 2 or len(set(image_ids)) != n:
+        raise PseudoLabelError("need at least 2 images, with distinct ids, to form pairs")
     total = n * (n - 1)
     if not 1 <= n_pairs <= total:
         raise PseudoLabelError(
@@ -218,42 +246,8 @@ def sample_pairs(
     while walk.size:
         v[walk] = permute(v[walk])
         walk = walk[v[walk] >= np.uint64(total)]
-    x, y = _pair_from_index(v, n)
-    id_array = np.empty(n, dtype=object)
-    id_array[:] = ids
-    return list(zip(id_array[x].tolist(), id_array[y].tolist()))
-
-
-def _label_pairs(
-    pairs: list[tuple[str, str]],
-    image_ids: list[str],
-    table: list[dict[str, float]],
-    keep_per_model: bool,
-) -> list[PairSample]:
-    """Label every pair: one stable_sigmoid call per model gives each
-    pair's per-model probabilities, bit-equal to relative_prob, and
-    ensemble_pseudolabel gives its p_r."""
-    position = {image_id: i for i, image_id in enumerate(image_ids)}
-    x = np.fromiter((position[x_id] for x_id, _ in pairs), np.intp, len(pairs))
-    y = np.fromiter((position[y_id] for _, y_id in pairs), np.intp, len(pairs))
-    probs = []
-    for q in table:
-        scores = np.array([q[i] for i in image_ids], dtype=np.float64)
-        probs.append(stable_sigmoid(scores[x] - scores[y]))
-    samples = []
-    # Python floats for one chunk of pairs at a time bound the memory
-    for lo in range(0, len(pairs), _LABEL_CHUNK):
-        rows = zip(*(p[lo : lo + _LABEL_CHUNK].tolist() for p in probs))
-        samples.extend(
-            PairSample(
-                x_id=x_id,
-                y_id=y_id,
-                p_r=ensemble_pseudolabel(per_model),
-                per_model=per_model if keep_per_model else None,
-            )
-            for (x_id, y_id), per_model in zip(pairs[lo : lo + _LABEL_CHUNK], rows)
-        )
-    return samples
+    x, rem = np.divmod(v, np.uint64(n - 1))
+    return x.astype(np.intp), (rem + (rem >= x)).astype(np.intp)
 
 
 def build_pair_manifest(
@@ -268,14 +262,14 @@ def build_pair_manifest(
     """Assemble a labeled manifest from precomputed per-model scores."""
     if len(table) != len(provenance) or not table:
         raise PseudoLabelError("score table and provenance lengths differ")
+    ids = list(image_ids)
+    x, y = sample_pairs(ids, n_pairs, seed)
+    scores = [np.array([q[i] for i in ids], dtype=np.float64) for q in table]
+    probs = [stable_sigmoid(s[x] - s[y]) for s in scores]  # one call per model
     manifest = PairManifest(
-        pool=pool_name,
-        n_pairs=n_pairs,
-        seed=seed,
-        ensemble=list(provenance),
-        samples=_label_pairs(
-            sample_pairs(image_ids, n_pairs, seed), image_ids, table, keep_per_model
-        ),
+        pool_name, n_pairs, seed, list(provenance), ids, x, y,
+        p_r=np.fromiter(map(math.fsum, zip(*probs)), np.float64, n_pairs) / len(probs),
+        per_model=np.stack(probs, axis=1) if keep_per_model else None,
     )
     manifest.validate()
     return manifest
@@ -304,32 +298,37 @@ def _sidecar_path(csv_path: str) -> str:
 
 def save_pair_manifest(manifest: PairManifest, csv_path: str) -> None:
     """Write the `x_id,y_id,p_r[,p_r_1,...]` CSV and its JSON sidecar."""
-    samples = manifest.samples
-    # per-model columns when every pair has them (a short tuple raises IndexError)
-    models = [s.per_model for s in samples]
-    width = 0 if None in models else max(map(len, models), default=0)
-    header = ["x_id", "y_id", "p_r"] + [f"p_r_{i + 1}" for i in range(width)]
-    columns = [[s.x_id for s in samples], [s.y_id for s in samples],
-               [s.p_r for s in samples], *([m[i] for m in models] for i in range(width))]
-    write_atomic(csv_path, render_csv(header, columns, PseudoLabelError))
+    ids = np.array(manifest.ids, dtype=object)
+    per_model = [] if manifest.per_model is None else manifest.per_model.T.tolist()
+    header = ["x_id", "y_id", "p_r"] + [f"p_r_{i + 1}" for i in range(len(per_model))]
+    columns = [ids[manifest.x].tolist(), ids[manifest.y].tolist(), manifest.p_r.tolist()]
+    write_atomic(csv_path, render_csv(header, columns + per_model, PseudoLabelError))
     sidecar = {f.name: getattr(manifest, f.name) for f in fields(PairSidecar)}
     write_atomic(_sidecar_path(csv_path), json_text(sidecar))
 
 
 def load_pair_manifest(csv_path: str) -> PairManifest:
+    """Read a pair CSV, with per-model columns p_r_1...p_r_K or none, and its sidecar."""
     sidecar_path = _sidecar_path(csv_path)
     if not os.path.exists(sidecar_path):
         raise PseudoLabelError(f"missing sidecar {sidecar_path}")
     sidecar = decode(PairSidecar, read_json(sidecar_path, PseudoLabelError),
                      lambda message: PseudoLabelError(f"{sidecar_path}: {message}"))
-    samples = []
-    for row in read_csv(csv_path, ("x_id", "y_id", "p_r"), PseudoLabelError, extra=True):
-        try:
-            per_model = tuple(map(float, row[3:])) if len(row) > 3 else None
-            samples.append(PairSample(row[0], row[1], float(row[2]), per_model))
-        except ValueError:
-            raise PseudoLabelError(f"{csv_path}: non-numeric probability in "
-                                   f"pair ({row[0]}, {row[1]})") from None
-    manifest = PairManifest(**vars(sidecar), samples=samples)
+    per_model = tuple(f"p_r_{i + 1}" for i in range(len(sidecar.ensemble)))
+    rows = list(read_csv(csv_path, ("x_id", "y_id", "p_r"), PseudoLabelError, per_model))
+    columns = list(zip(*rows)) or [(), (), ()]
+    try:
+        probs = [np.fromiter(map(float, c), np.float64, len(c)) for c in columns[2:]]
+    except ValueError:
+        for row in rows:  # name the first row that holds a non-number
+            try:
+                list(map(float, row[2:]))
+            except ValueError:
+                raise PseudoLabelError(f"{csv_path}: non-numeric probability in "
+                                       f"pair ({row[0]}, {row[1]})") from None
+    position = {i: k for k, i in enumerate(dict.fromkeys(columns[0] + columns[1]))}
+    x, y = (np.fromiter(map(position.__getitem__, c), np.intp, len(c)) for c in columns[:2])
+    manifest = PairManifest(**vars(sidecar), ids=list(position), x=x, y=y, p_r=probs[0],
+                            per_model=np.stack(probs[1:], axis=1) if len(probs) > 1 else None)
     manifest.validate()
     return manifest

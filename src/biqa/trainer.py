@@ -269,27 +269,27 @@ def train_pairwise(
     image_store maps image id to its fixed evaluation crop, shape
     (S, S, C). Gradients from the two streams sum into one flat gradient.
     """
-    pairs = list(pair_manifest.samples)
-    if not pairs:
+    x, y, p_r = pair_manifest.x, pair_manifest.y, pair_manifest.p_r
+    if not len(p_r):
         raise TrainerError("empty pair manifest")
-    for sample in pairs:
-        if not 0.0 < sample.p_r < 1.0:
-            raise TrainerError(
-                f"pair ({sample.x_id}, {sample.y_id}) has label {sample.p_r} "
-                "outside (0, 1)"
-            )
-        for image_id in (sample.x_id, sample.y_id):
-            if image_id not in image_store:
-                raise TrainerError(f"pair manifest references unknown id {image_id!r}")
+    crops = [image_store.get(image_id) for image_id in pair_manifest.ids]
+    known = np.array([crop is not None for crop in crops], dtype=bool)
+    bad = ~((p_r > 0.0) & (p_r < 1.0) & known[x] & known[y])
+    if bad.any():
+        s = pair_manifest.samples[bad.argmax()]
+        if not 0.0 < s.p_r < 1.0:
+            raise TrainerError(f"pair ({s.x_id}, {s.y_id}) has label {s.p_r} outside (0, 1)")
+        unknown = s.y_id if s.x_id in image_store else s.x_id
+        raise TrainerError(f"pair manifest references unknown id {unknown!r}")
 
     def epoch_batches(params, data_rng, epoch):
-        order = list(range(len(pairs)))
+        order = list(range(len(p_r)))
         data_rng.shuffle(order)
         for batch_idx in range(0, len(order), train_config.batch_size):
-            chosen = [pairs[i] for i in order[batch_idx : batch_idx + train_config.batch_size]]
-            xb = np.stack([image_store[s.x_id] for s in chosen])
-            yb = np.stack([image_store[s.y_id] for s in chosen])
-            targets = np.array([s.p_r for s in chosen])
+            chosen = order[batch_idx : batch_idx + train_config.batch_size]
+            xb = np.stack([crops[k] for k in x[chosen].tolist()])
+            yb = np.stack([crops[k] for k in y[chosen].tolist()])
+            targets = p_r[chosen]
             scores_x, trace_x = forward_batch(params, xb)
             scores_y, trace_y = forward_batch(params, yb)
             probs = stable_sigmoid(scores_x - scores_y)
@@ -306,4 +306,4 @@ def train_pairwise(
             grads += backward(trace_y, params, -upstream)
             yield loss, grads
 
-    return _fit("train-pairwise", scorer_config, train_config, len(pairs), epoch_batches)
+    return _fit("train-pairwise", scorer_config, train_config, len(p_r), epoch_batches)

@@ -34,6 +34,8 @@ from biqa.synthbench import (
     load_ground_truth,
 )
 
+from pair_rows import manifest_of
+
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "biqa").glob("*.py"))
 OWNER = "dataset.py"
@@ -119,9 +121,16 @@ def test_read_checks_header_and_field_count(tmp_path):
     path.write_text("k,v,w\na,1,2\n")
     with pytest.raises(SynthError, match=r"t\.csv: expected header k,v"):
         list(read_csv(str(path), ("k", "v"), SynthError))
-    assert list(read_csv(str(path), ("k", "v"), SynthError, extra=True)) == [
+    assert list(read_csv(str(path), ("k", "v"), SynthError, extra=("w",))) == [
         ["a", "1", "2"]
     ]
+    assert list(read_csv(str(path), ("k", "v", "w"), SynthError, extra=("x",))) == [
+        ["a", "1", "2"]
+    ]
+    # the extra columns come whole or not at all, under their own names
+    for extra in (("x",), ("w", "x")):
+        with pytest.raises(SynthError, match=r"expected header k,v\[,"):
+            list(read_csv(str(path), ("k", "v"), SynthError, extra=extra))
     path.write_text("k,v\na,1\nb\n")
     with pytest.raises(SynthError, match=r"t\.csv: line 3: ragged row with 1 fields"):
         list(read_csv(str(path), ("k", "v"), SynthError))
@@ -171,7 +180,7 @@ def _pairs(per_model: bool) -> PairManifest:
                    (0.1, 0.5000000000000001) if per_model else None),
     ]
     ensemble = [{"digest": "d1", "trained_on": "s1"}, {"digest": "d2", "trained_on": "s2"}]
-    return PairManifest("pool", 2, 7, ensemble, samples)
+    return manifest_of("pool", 2, 7, ensemble, samples)
 
 
 @pytest.mark.parametrize(

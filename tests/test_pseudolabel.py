@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -7,7 +8,6 @@ import pytest
 from biqa.dataset import DatasetError, ImageRecord
 from biqa.pseudolabel import (
     EnsembleSnapshot,
-    PairManifest,
     PairSample,
     PseudoLabelError,
     build_pair_manifest,
@@ -22,7 +22,9 @@ from biqa.pseudolabel import (
 )
 from biqa.rng import MASK64, SplitMix64, derive_seed
 from biqa.scorer import ScorerConfig, forward_batch, init_params, params_digest
+from biqa.trainer import stable_sigmoid
 
+from pair_rows import manifest_of
 from splitmix_oracle import ScalarSplitMix64, mix64
 
 
@@ -140,17 +142,24 @@ def test_score_pool_input_validation():
         score_pool(snap, [], {})
 
 
+def _id_pairs(ids, n_pairs, seed):
+    """sample_pairs as (x_id, y_id) tuples."""
+    x, y = sample_pairs(ids, n_pairs, seed)
+    assert x.dtype == y.dtype == np.intp
+    return [(ids[i], ids[j]) for i, j in zip(x.tolist(), y.tolist())]
+
+
 def test_sample_pairs_is_permutation_prefix():
     ids = [f"i{k}" for k in range(7)]
     total = 7 * 6
-    full = sample_pairs(ids, total, seed=5)
+    full = _id_pairs(ids, total, seed=5)
     assert len(set(full)) == total
     assert all(x != y for x, y in full)
     # every ordered pair appears exactly once
     assert set(full) == {(a, b) for a in ids for b in ids if a != b}
     # nested: shorter runs are prefixes of longer ones
-    assert sample_pairs(ids, 10, seed=5) == full[:10]
-    assert sample_pairs(ids, 10, seed=6) != full[:10]
+    assert _id_pairs(ids, 10, seed=5) == full[:10]
+    assert _id_pairs(ids, 10, seed=6) != full[:10]
 
 
 def test_sample_pairs_validation():
@@ -160,6 +169,9 @@ def test_sample_pairs_validation():
         sample_pairs(["a", "b"], 0, seed=0)
     with pytest.raises(PseudoLabelError):
         sample_pairs(["a", "b"], 3, seed=0)
+    # index pairs over a repeated id would hold self-pairs and repeats
+    with pytest.raises(PseudoLabelError, match="distinct ids"):
+        sample_pairs(["a", "b", "a"], 1, seed=0)
 
 
 # Reference copies of the former per-pair code: the scalar Feistel draw in
@@ -204,7 +216,7 @@ def _reference_build_pair_manifest(pool_name, image_ids, table, provenance,
                 per_model=per_model if keep_per_model else None,
             )
         )
-    manifest = PairManifest(pool_name, n_pairs, seed, list(provenance), samples)
+    manifest = manifest_of(pool_name, n_pairs, seed, list(provenance), samples)
     manifest.validate()
     return manifest
 
@@ -226,7 +238,7 @@ def test_sample_pairs_equals_scalar_reference(n, n_pairs, seed):
     # n * (n - 1) pairs walk every index that leaves the permutation's
     # range; 70000 images put n * (n - 1) above 2**32
     ids = [f"img{i:05d}" for i in range(n)]
-    assert sample_pairs(ids, n_pairs, seed) == _reference_sample_pairs(ids, n_pairs, seed)
+    assert _id_pairs(ids, n_pairs, seed) == _reference_sample_pairs(ids, n_pairs, seed)
 
 
 @pytest.mark.parametrize(
@@ -308,13 +320,13 @@ def test_generate_pair_manifest_end_to_end():
 def test_pair_manifest_validate_rejects_bad_rows():
     ok = PairSample("a", "b", 0.6)
     with pytest.raises(PseudoLabelError, match="self-pair"):
-        PairManifest("p", 1, 0, [], [PairSample("a", "a", 0.5)]).validate()
+        manifest_of("p", 1, 0, [], [PairSample("a", "a", 0.5)]).validate()
     with pytest.raises(PseudoLabelError, match="p_r"):
-        PairManifest("p", 1, 0, [], [PairSample("a", "b", 1.0)]).validate()
+        manifest_of("p", 1, 0, [], [PairSample("a", "b", 1.0)]).validate()
     with pytest.raises(PseudoLabelError, match="duplicate"):
-        PairManifest("p", 2, 0, [], [ok, ok]).validate()
+        manifest_of("p", 2, 0, [], [ok, ok]).validate()
     with pytest.raises(PseudoLabelError, match="n_pairs"):
-        PairManifest("p", 2, 0, [], [ok]).validate()
+        manifest_of("p", 2, 0, [], [ok]).validate()
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -403,3 +415,165 @@ def test_sidecar_must_be_an_object_with_every_key(tmp_path):
     (tmp_path / "p.json").write_text("[]")
     with pytest.raises(PseudoLabelError, match=r"p\.json: .*JSON object"):
         load_pair_manifest(path)
+
+
+# ---- columns: header rule, per-model width, the samples view ------------
+
+
+def test_load_takes_extra_columns_only_as_one_per_ensemble_member(tmp_path):
+    path = tmp_path / "p.csv"
+    ensemble = [{"trained_on": f"s{j}", "digest": f"d{j}"} for j in range(3)]
+    (tmp_path / "p.json").write_text(json.dumps(
+        {"pool": "pool", "n_pairs": 1, "seed": 0, "ensemble": ensemble}))
+    for header in ("x_id,y_id,p_r,foo", "x_id,y_id,p_r,p_r_1", "x_id,y_id,p_r,p_r_1,p_r_2",
+                   "x_id,y_id,p_r,p_r_1,p_r_2,p_r_3,p_r_4", "x_id,y_id,p_r,p_r_2,p_r_1,p_r_3"):
+        width = header.count(",") - 2
+        path.write_text(f"{header}\na,b,0.5" + ",0.5" * width + "\n")
+        with pytest.raises(PseudoLabelError, match=r"p\.csv: expected header "
+                           r"x_id,y_id,p_r\[,p_r_1,p_r_2,p_r_3\]"):
+            load_pair_manifest(str(path))
+    path.write_text("x_id,y_id,p_r,p_r_1,p_r_2,p_r_3\na,b,0.5,0.25,0.5,0.75\n")
+    assert load_pair_manifest(str(path)).samples == [PairSample("a", "b", 0.5, (0.25, 0.5, 0.75))]
+    path.write_text("x_id,y_id,p_r\na,b,0.5\n")
+    assert load_pair_manifest(str(path)).samples == [PairSample("a", "b", 0.5)]
+
+
+def test_validate_refuses_a_per_model_width_other_than_the_ensemble():
+    ensemble = [{"trained_on": f"s{j}", "digest": f"d{j}"} for j in range(3)]
+    rows = [PairSample("a", "b", 0.5, (0.4, 0.6)), PairSample("b", "a", 0.5, (0.6, 0.4))]
+    with pytest.raises(PseudoLabelError, match=r"per_model shape \(2, 2\) != \(2, 3\)"):
+        manifest_of("pool", 2, 0, ensemble, rows).validate()
+    manifest_of("pool", 2, 0, ensemble[:2], rows).validate()
+
+
+def _view_manifest(keep_per_model):
+    ids = ["a", "b", "c", "d"]
+    table = [{"a": 0.1, "b": 0.5, "c": 0.9, "d": 0.3}, {"a": 0.7, "b": 0.2, "c": 0.4, "d": 0.6}]
+    prov = [{"trained_on": "s0", "digest": "d0"}, {"trained_on": "s1", "digest": "d1"}]
+    return build_pair_manifest("pool", ids, table, prov, 8, 3, keep_per_model)
+
+
+@pytest.mark.parametrize("keep_per_model", [False, True])
+def test_samples_view_reads_rows_and_writes_through(tmp_path, keep_per_model):
+    man = _view_manifest(keep_per_model)
+    rows = man.samples
+    assert isinstance(rows, list) and len(rows) == 8
+    assert all(isinstance(s, PairSample) for s in rows)
+    assert list(iter(man.samples)) == rows and man.samples[-1] == rows[7]
+    assert man.samples[2:4] == rows[2:4]
+    for k, s in enumerate(rows):
+        assert (s.x_id, s.y_id) == (man.ids[man.x[k]], man.ids[man.y[k]])
+        assert s.p_r == man.p_r[k]
+        assert s.per_model == (tuple(man.per_model[k]) if keep_per_model else None)
+    assert man.samples == [PairSample(s.x_id, s.y_id, s.p_r, s.per_model) for s in rows]
+    assert man.samples != rows[::-1]
+    # an assigned row lands in the columns, new ids included
+    new = PairSample("e", "a", 0.25, (0.5, 0.0) if keep_per_model else None)
+    man.samples[1] = new
+    assert man.samples[1] == new and man.samples[:1] + man.samples[2:] == rows[:1] + rows[2:]
+    assert man.ids[-1] == "e" and man.p_r[1] == 0.25
+    man.validate()
+    save_pair_manifest(man, str(tmp_path / "p.csv"))
+    assert load_pair_manifest(str(tmp_path / "p.csv")) == man
+    # an assigned duplicate is caught by validate
+    man.samples[5] = man.samples[0]
+    with pytest.raises(PseudoLabelError, match="duplicate ordered pair"):
+        man.validate()
+
+
+@pytest.mark.parametrize("keep_per_model", [False, True])
+def test_samples_view_refuses_rows_that_do_not_fit(tmp_path, keep_per_model):
+    man = _view_manifest(keep_per_model)
+    before = man.samples
+    for per_model in ((0.5,), (0.5, 0.5, 0.5), None if keep_per_model else (0.5, 0.5)):
+        with pytest.raises(PseudoLabelError, match="per-model width"):
+            man.samples[0] = PairSample("a", "b", 0.5, per_model)
+    with pytest.raises(IndexError):
+        man.samples[8] = before[0]
+    with pytest.raises(TypeError):
+        man.samples[0:2] = before[0]
+    assert man.samples == before
+    # an id holding a comma reaches the columns, and save refuses it
+    man.samples[0] = PairSample("a,b", "c", 0.6, (0.6, 0.6) if keep_per_model else None)
+    with pytest.raises(PseudoLabelError, match="'a,b,c,0.6"):
+        save_pair_manifest(man, str(tmp_path / "p.csv"))
+    assert not (tmp_path / "p.csv").exists()
+
+
+def _reference_validate(manifest):
+    """PairManifest.validate as a per-pair loop over the rows."""
+    samples = manifest.samples
+    if manifest.n_pairs != len(samples):
+        raise PseudoLabelError(f"n_pairs {manifest.n_pairs} != {len(samples)} samples")
+    seen = set()
+    for s in samples:
+        if s.x_id == s.y_id:
+            raise PseudoLabelError(f"self-pair {s.x_id!r}")
+        if not 0.0 < s.p_r < 1.0:
+            raise PseudoLabelError(f"pair ({s.x_id}, {s.y_id}): p_r {s.p_r}")
+        key = (s.x_id, s.y_id)
+        if key in seen:
+            raise PseudoLabelError(f"duplicate ordered pair {key}")
+        seen.add(key)
+
+
+def _error(fn, *args):
+    try:
+        fn(*args)
+    except PseudoLabelError as exc:
+        return str(exc)
+    return None
+
+
+def test_validate_names_the_first_bad_pair_as_the_per_pair_loop_does():
+    rng = SplitMix64(17)
+    ids = [f"i{k}" for k in range(40)]
+    bad_labels = [0.0, 1.0, -0.5, 1.5, float("nan"), float("inf")]
+    errors = set()
+    for _ in range(400):
+        words = rng.next_u64_block(64).tolist()
+        rows = [PairSample(ids[w % 40], ids[(w % 40 + 1 + (w >> 8) % 39) % 40],
+                           0.1 + 0.8 * ((w >> 16) % 97) / 97) for w in words[:12]]
+        for w in words[12:12 + words[63] % 4]:  # damage up to three rows
+            k, other, kind = w % 12, rows[(w >> 8) % 12], (w >> 16) % 3
+            rows[k] = [PairSample(rows[k].x_id, rows[k].y_id, bad_labels[(w >> 24) % 6]),
+                       PairSample(rows[k].x_id, rows[k].x_id, rows[k].p_r),
+                       PairSample(other.x_id, other.y_id, rows[k].p_r)][kind]
+        man = manifest_of("pool", 12, 0, [], rows)
+        want = _error(_reference_validate, man)
+        assert _error(man.validate) == want
+        errors.add(want.split(" ")[0] if want else None)
+    assert errors == {None, "self-pair", "pair", "duplicate"}
+    assert _error(manifest_of("pool", 13, 0, [], rows).validate) == "n_pairs 13 != 12 samples"
+
+
+# ---- the paper's scale: 999,000 pairs, bytes pinned ----------------------
+
+# sha256 of the pair CSV (by keep_per_model) and of its sidecar as the
+# per-pair PairSample code wrote them for these inputs; recorded with that
+# code, which built each pair's row in Python, before the columnar manifest
+_PAPER_CSV = {
+    False: "fc8ec189af148d3af3272d6b8db51a39e737c6141f125735adc4b51e20c6c4fe",
+    True: "d504046b3b80a47feaab59ba08fc328bbf4d54e76830e97933529139c794c64a",
+}
+_PAPER_SIDECAR = "0b14a06ce6be91b46bbaa2940758b1335a0025d2e79859265bd645123b1ab069"
+# sha256 of sigmoid(q_x - q_y) over every ordered pair of each model where
+# those digests were recorded; numpy's exp kernel can round differently on
+# other CPUs or builds, and then the pinned bytes cannot be expected
+_PAPER_SIGMOID = "3849eda1b8d971207174f98aa3b933304564971ec8ad97859440f8e694bbd760"
+
+
+@pytest.mark.parametrize("keep_per_model", [False, True])
+def test_paper_scale_pair_file_bytes_are_pinned(tmp_path, keep_per_model):
+    ids = [f"img{i:04d}" for i in range(1000)]
+    table = _spread_table(ids, (1.0, 2.0, 0.5))
+    q = np.array([[t[i] for i in ids] for t in table])
+    probe = stable_sigmoid(q[:, :, None] - q[:, None, :]).tobytes()
+    if hashlib.sha256(probe).hexdigest() != _PAPER_SIGMOID:
+        pytest.skip("this numpy's exp rounds sigmoid(q_x - q_y) unlike the recording machine")
+    prov = [{"trained_on": f"s{j}", "digest": f"d{j}"} for j in range(3)]
+    man = build_pair_manifest("pool", ids, table, prov, 999_000, 11, keep_per_model)
+    assert man.n_pairs == len(man.p_r) == 1000 * 999
+    save_pair_manifest(man, str(tmp_path / "p.csv"))
+    for name, want in (("p.csv", _PAPER_CSV[keep_per_model]), ("p.json", _PAPER_SIDECAR)):
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want

@@ -1,11 +1,17 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from biqa.dataset import DatasetManifest, ImageRecord, sample_patches, split_dataset
-from biqa.pseudolabel import PairManifest, PairSample
+from biqa.pseudolabel import (
+    PairSample,
+    build_pair_manifest,
+    load_pair_manifest,
+    save_pair_manifest,
+)
 from biqa.rng import SplitMix64, derive_seed
 from biqa.scorer import ScorerConfig, backward, forward_batch, init_params
 from biqa.trainer import (
@@ -25,6 +31,7 @@ from biqa.trainer import (
     train_single,
 )
 
+from pair_rows import manifest_of
 from splitmix_oracle import ScalarSplitMix64
 
 
@@ -282,8 +289,8 @@ def _toy_pairs(store_ids, n, seed=0):
         if x == y:
             continue
         samples.append(PairSample(x_id=x, y_id=y, p_r=0.3 + 0.4 * rng.uniform()))
-    return PairManifest(pool="toy", n_pairs=len(samples), seed=seed,
-                        ensemble=[{"trained_on": "toy", "digest": "x"}], samples=samples)
+    return manifest_of(pool="toy", n_pairs=len(samples), seed=seed,
+                       ensemble=[{"trained_on": "toy", "digest": "x"}], samples=samples)
 
 
 def _toy_store(n=8, size=8, seed=1):
@@ -297,12 +304,12 @@ def _toy_store(n=8, size=8, seed=1):
 def test_train_pairwise_validates_inputs():
     store = _toy_store()
     ids = sorted(store)
-    bad = PairManifest(pool="toy", n_pairs=1, seed=0, ensemble=[],
-                       samples=[PairSample(ids[0], ids[1], 1.0)])
+    bad = manifest_of(pool="toy", n_pairs=1, seed=0, ensemble=[],
+                      samples=[PairSample(ids[0], ids[1], 1.0)])
     with pytest.raises(TrainerError, match="outside"):
         train_pairwise(bad, store, _SCFG, TrainConfig(epochs=1, warmup_epochs=0))
-    missing = PairManifest(pool="toy", n_pairs=1, seed=0, ensemble=[],
-                           samples=[PairSample("nope", ids[1], 0.5)])
+    missing = manifest_of(pool="toy", n_pairs=1, seed=0, ensemble=[],
+                          samples=[PairSample("nope", ids[1], 0.5)])
     with pytest.raises(TrainerError, match="unknown id"):
         train_pairwise(missing, store, _SCFG, TrainConfig(epochs=1, warmup_epochs=0))
 
@@ -349,12 +356,12 @@ def test_two_stream_gradient_antisymmetry():
     # swapped manifest yields identical parameters
     store = _toy_store()
     ids = sorted(store)
-    fwd = PairManifest(pool="t", n_pairs=2, seed=0, ensemble=[],
-                       samples=[PairSample(ids[0], ids[1], 0.7),
-                                PairSample(ids[2], ids[3], 0.4)])
-    rev = PairManifest(pool="t", n_pairs=2, seed=0, ensemble=[],
-                       samples=[PairSample(ids[1], ids[0], 0.3),
-                                PairSample(ids[3], ids[2], 0.6)])
+    fwd = manifest_of(pool="t", n_pairs=2, seed=0, ensemble=[],
+                      samples=[PairSample(ids[0], ids[1], 0.7),
+                               PairSample(ids[2], ids[3], 0.4)])
+    rev = manifest_of(pool="t", n_pairs=2, seed=0, ensemble=[],
+                      samples=[PairSample(ids[1], ids[0], 0.3),
+                               PairSample(ids[3], ids[2], 0.6)])
     cfg = TrainConfig(epochs=1, warmup_epochs=0, base_lr=1e-3, batch_size=2, seed=1)
     a = train_pairwise(fwd, store, _SCFG, cfg)
     b = train_pairwise(rev, store, _SCFG, cfg)
@@ -467,6 +474,23 @@ def test_train_single_matches_reference_loop(caplog, patches_per_image, warmup_e
     assert len(ref_records) == cfg.epochs
 
 
+def _built_pairs(store, tmp_path, kind):
+    """Pairs over the store's ids: drawn and labelled by build_pair_manifest,
+    then used as built, after a save/load round trip (ids in first-seen
+    order), or with ids that no pair references and the store lacks."""
+    ids = sorted(store)
+    table = [{i: k / len(ids) for k, i in enumerate(ids[::-1])}, {i: 0.1 for i in ids}]
+    prov = [{"trained_on": "a", "digest": "a"}, {"trained_on": "b", "digest": "b"}]
+    pairs = build_pair_manifest("toy", ids, table, prov, 15, 5)
+    if kind == "loaded":
+        save_pair_manifest(pairs, str(tmp_path / "pairs.csv"))
+        pairs = load_pair_manifest(str(tmp_path / "pairs.csv"))
+        assert pairs.ids != ids
+    if kind == "unreferenced":
+        pairs = replace(pairs, ids=["ghost"] + pairs.ids + ["ghost-2"], x=pairs.x + 1, y=pairs.y + 1)
+    return pairs
+
+
 def test_train_pairwise_matches_reference_loop(caplog):
     store = _toy_store(n=10)
     pairs = _toy_pairs(sorted(store), 15, seed=5)
@@ -479,3 +503,54 @@ def test_train_pairwise_matches_reference_loop(caplog):
     assert got.meta == ref.meta
     assert _epoch_records(caplog) == ref_records
     assert len(ref_records) == cfg.epochs
+
+
+@pytest.mark.parametrize("kind", ["built", "loaded", "unreferenced"])
+def test_train_pairwise_matches_reference_loop_on_built_pairs(caplog, tmp_path, kind):
+    store = _toy_store(n=10)
+    pairs = _built_pairs(store, tmp_path, kind)
+    cfg = TrainConfig(epochs=2, batch_size=4, warmup_epochs=1, base_lr=3e-3, seed=17)
+    ref, ref_records = _reference_train_pairwise(pairs, store, _SCFG, cfg)
+    caplog.set_level("INFO", logger="biqa.trainer")
+    got = train_pairwise(pairs, store, _SCFG, cfg)
+    assert np.array_equal(got.values, ref.values)
+    assert _epoch_records(caplog) == ref_records
+
+
+def _reference_pair_checks(pair_manifest, image_store):
+    """train_pairwise's input checks as the per-pair loop they were."""
+    pairs = list(pair_manifest.samples)
+    if not pairs:
+        raise TrainerError("empty pair manifest")
+    for sample in pairs:
+        if not 0.0 < sample.p_r < 1.0:
+            raise TrainerError(
+                f"pair ({sample.x_id}, {sample.y_id}) has label {sample.p_r} "
+                "outside (0, 1)"
+            )
+        for image_id in (sample.x_id, sample.y_id):
+            if image_id not in image_store:
+                raise TrainerError(f"pair manifest references unknown id {image_id!r}")
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [("img00", "img01", 0.5), ("nope", "img01", 0.5), ("img01", "img02", 1.0)],
+        [("img00", "img01", 0.5), ("img01", "img02", 0.0), ("nope", "img01", 0.5)],
+        [("img00", "nope", 2.0), ("nope", "img00", 0.5)],
+        [("img00", "img01", 0.5), ("img00", "nope", 0.5)],
+        [("nope", "nope-2", 0.5)],
+        [("img02", "img03", 0.5), ("img00", "img01", math.nan)],
+        [("img00", "img01", -0.25), ("img00", "img02", -0.5)],
+        [],
+    ],
+)
+def test_train_pairwise_refuses_the_pair_the_per_pair_loop_names(rows):
+    store = _toy_store()
+    pairs = manifest_of("toy", len(rows), 0, [], [PairSample(*row) for row in rows])
+    with pytest.raises(TrainerError) as want:
+        _reference_pair_checks(pairs, store)
+    with pytest.raises(TrainerError) as got:
+        train_pairwise(pairs, store, _SCFG, TrainConfig(epochs=1, warmup_epochs=0))
+    assert str(got.value) == str(want.value)
