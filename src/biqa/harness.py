@@ -17,9 +17,12 @@ CSVs, models, pair manifests, reports and state) lands through
 png_io.write_atomic, a temp file and a rename, so none is ever
 half-written. A rerun with an unchanged signature verifies each recorded
 artifact once and reuses it; a hash mismatch on a recorded artifact is
-refused rather than silently recomputed (--force rebuilds). Every RNG
-stream is derived from the experiment's master seed and a unit label, so
-any --threads setting produces byte-identical outputs.
+refused rather than silently recomputed (--force rebuilds). Report
+stages are also signed over REPORT_VERSION: bump it whenever metric or
+report code changes what a report holds, so a resumed tree rebuilds its
+reports. Every RNG stream is derived from the experiment's master seed
+and a unit label, so any --threads setting produces byte-identical
+outputs.
 
 All paths inside state and reports are relative to the output directory.
 """
@@ -76,6 +79,9 @@ from .trainer import TrainConfig, train_pairwise, train_single
 log = logging.getLogger("biqa.harness")
 
 SCHEMA_VERSION = 1
+# signed into every report stage; bump it whenever metric or report code
+# changes what a report holds
+REPORT_VERSION = 1
 
 
 class HarnessError(Exception):
@@ -94,12 +100,10 @@ def sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
-def _canon(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def signature_of(payload: dict) -> str:
-    return sha256_bytes(_canon(payload).encode("utf-8"))
+    """sha256 of the payload's canonical JSON: sorted keys, no spaces."""
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return sha256_bytes(text.encode("utf-8"))
 
 
 def subset_tag(names: list[str]) -> str:
@@ -180,26 +184,25 @@ class ExperimentConfig:
 
     def with_master_seed(self, seed: int) -> "ExperimentConfig":
         """Re-derive every stochastic knob from a new master seed."""
-        return replace(
-            self,
-            master_seed=seed,
-            datasets=[
-                replace(d, seed=derive_seed(seed, "data", d.name)) for d in self.datasets
-            ],
-            pool=replace(self.pool, seed=derive_seed(seed, "data", self.pool.name)),
-        )
+
+        def reseed(d: BiasedDatasetConfig) -> BiasedDatasetConfig:
+            return replace(d, seed=derive_seed(seed, "data", d.name))
+
+        datasets = [reseed(d) for d in self.datasets]
+        return replace(self, master_seed=seed, datasets=datasets, pool=reseed(self.pool))
 
 
 def reference_config(master_seed: int = 42) -> ExperimentConfig:
     """The pinned desk-scale configuration all end-to-end checks run."""
 
     def ds(name: str, kinds: tuple[str, ...], remap: str, n: int) -> BiasedDatasetConfig:
+        # the seed is set by with_master_seed below
         return BiasedDatasetConfig(
             name=name,
             n_images=n,
             allowed_kinds=kinds,
             label_remap=remap,
-            seed=derive_seed(master_seed, "data", name),
+            seed=0,
         )
 
     names = ["blurset", "noiseset", "mixedset"]
@@ -226,7 +229,7 @@ def reference_config(master_seed: int = 42) -> ExperimentConfig:
         ),
         stage1=TrainConfig(epochs=30, patches_per_image=10, **train_common),
         stage3=TrainConfig(epochs=10, patches_per_image=1, **train_common),
-    )
+    ).with_master_seed(master_seed)
 
 
 def save_config(config: ExperimentConfig, path: str) -> None:
@@ -409,6 +412,10 @@ class ExperimentRunner:
         h.update(bytes.fromhex(outputs[f"images:{name}"]["sha256"]))
         return h.hexdigest()
 
+    def _entry(self, rel: str) -> dict:
+        """The state entry of the file at rel under the output directory."""
+        return {"path": rel, "sha256": sha256_file(os.path.join(self.out_dir, rel))}
+
     def _save_model(self, params: ScorerParams, stem: str) -> dict:
         digest = sha256_bytes(serialize_params(params))
         rel = f"models/{stem}-{digest[:12]}.bin"
@@ -441,10 +448,7 @@ class ExperimentRunner:
             outputs = {}
             for c in all_configs:
                 for label, rel in _data_files(c.name):
-                    outputs[f"{label}:{c.name}"] = {
-                        "path": f"data/{rel}",
-                        "sha256": sha256_file(os.path.join(data_dir, rel)),
-                    }
+                    outputs[f"{label}:{c.name}"] = self._entry(f"data/{rel}")
                 outputs[f"images:{c.name}"] = {
                     "tree": f"data/{c.name}",
                     "sha256": _tree_digest(os.path.join(data_dir, c.name)),
@@ -453,22 +457,15 @@ class ExperimentRunner:
 
         def load(_outputs: dict) -> None:
             for c in all_configs:
-                manifest = rescale_mos(
-                    load_manifest(os.path.join(data_dir, f"{c.name}.csv"))
-                )
+                csv, truth = (os.path.join(data_dir, rel) for _, rel in _data_files(c.name))
+                manifest = rescale_mos(load_manifest(csv))
                 self.manifests[c.name] = manifest
                 self.crops.update(
                     central_crop_store(manifest.records, self.config.scorer.patch_size)
                 )
-            for name in self.config.dataset_names:
-                truth = load_ground_truth(os.path.join(data_dir, f"{name}.truth.csv"))
-                self.qstar_sets.append(
-                    DatasetManifest(
-                        name=name,
-                        records=self.manifests[name].records,
-                        labels=dict(truth.qstar),
-                    )
-                )
+                if c is not self.config.pool:
+                    labels = dict(load_ground_truth(truth).qstar)
+                    self.qstar_sets.append(DatasetManifest(c.name, manifest.records, labels))
 
         payload = {"configs": [c.to_dict() for c in all_configs]}
         self._stage("data", payload, build, load)
@@ -559,10 +556,7 @@ class ExperimentRunner:
                         os.replace(tmp + ext, os.path.join(self.out_dir, rel + ext))
                     key = f"{tag}:n{n}"
                     outputs[f"pairs:{key}"] = {"path": rel + ".csv", "sha256": digest}
-                    outputs[f"pairs-meta:{key}"] = {
-                        "path": rel + ".json",
-                        "sha256": sha256_file(os.path.join(self.out_dir, rel + ".json")),
-                    }
+                    outputs[f"pairs-meta:{key}"] = self._entry(rel + ".json")
             return outputs
 
         payload = {
@@ -628,7 +622,7 @@ class ExperimentRunner:
         datasets = {n: self._dataset_digest(n) for n in self.config.dataset_names}
         return self._stage(
             name,
-            {"models": models, "datasets": datasets},
+            {"models": models, "datasets": datasets, "report_version": REPORT_VERSION},
             build,
             lambda outputs: read_json(
                 os.path.join(self.out_dir, outputs["report"]["path"]), HarnessError
@@ -760,18 +754,12 @@ class ExperimentRunner:
         ensemble_table = self.run_ablation_ensemble()
         summary = {
             "schema": SCHEMA_VERSION,
-            "config_sha256": sha256_bytes(_canon(self.config.to_dict()).encode()),
+            "config_sha256": signature_of(self.config.to_dict()),
             "datasets": {n: self._dataset_digest(n) for n in self.config.dataset_names},
             "pool": self._dataset_digest(self.config.pool.name),
             "models": {
-                "stage1": {
-                    n: {"path": e["path"], "sha256": e["sha256"]}
-                    for n, e in sorted(self.s1_models.items())
-                },
-                "cdr": {
-                    k: {"path": e["path"], "sha256": e["sha256"]}
-                    for k, e in sorted(self.cdr_models.items())
-                },
+                group: {k: {"path": e["path"], "sha256": e["sha256"]} for k, e in models.items()}
+                for group, models in (("stage1", self.s1_models), ("cdr", self.cdr_models))
             },
             "pairs": dict(sorted(self.pair_entries.items())),
             "cross_eval": cross,

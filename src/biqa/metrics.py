@@ -7,6 +7,9 @@ curve, a logistic plus a linear term (b1..b5), fitted by damped
 Gauss-Newton, which removes the arbitrary nonlinearity between a model's
 score scale and the label scale.
 
+logistic_map (what the reports apply) and fit_logistic's residual (what
+the fit minimizes) evaluate the curve through one function, _remap.
+
 The remap may decrease (its slope starts with the sign of Pearson's r and
 the linear term b4 is free), so PLCC carries the remap's direction over
 the prediction range: an inverted model gets a negative PLCC and SRCC.
@@ -20,7 +23,7 @@ All functions are pure; nothing here touches the filesystem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -97,21 +100,25 @@ class LogisticParams:
         return [float(v) for v in self.as_array()]
 
 
+def _remap(x: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The remap's sigmoid and value at x for a (b1..b5) array:
+    b1*(1/2 - 1/(1+exp(b2*(x-b3)))) + b4*x + b5, overflow-safe."""
+    sig = np.asarray(stable_sigmoid(beta[1] * (x - beta[2])))
+    return sig, beta[0] * (sig - 0.5) + beta[3] * x + beta[4]
+
+
 def logistic_map(s_hat, betas: LogisticParams):
-    """b1*(1/2 - 1/(1+exp(b2*(s-b3)))) + b4*s + b5, overflow-safe."""
-    s = np.asarray(s_hat, dtype=np.float64)
-    sig = stable_sigmoid(betas.b2 * (s - betas.b3))
-    out = betas.b1 * (np.asarray(sig) - 0.5) + betas.b4 * s + betas.b5
+    """The fitted remap applied to predictions (an array or one value)."""
+    out = _remap(np.asarray(s_hat, dtype=np.float64), betas.as_array())[1]
     return out if out.ndim else float(out)
 
 
 def _logistic_terms(
     x: np.ndarray, y: np.ndarray, beta: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Sigmoid, residual and SSE of the remap at a beta array; the residual
-    takes logistic_map's operations in its order, so it has the same bits."""
-    sig = np.asarray(stable_sigmoid(beta[1] * (x - beta[2])))
-    residual = beta[0] * (sig - 0.5) + beta[3] * x + beta[4] - y
+    """Sigmoid, residual and SSE of the remap at a beta array."""
+    sig, mapped = _remap(x, beta)
+    residual = mapped - y
     return sig, residual, float(residual @ residual)
 
 
@@ -219,17 +226,7 @@ class EvalReport:
     seed: int | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "trained_on": self.trained_on,
-            "dataset": self.dataset,
-            "n": self.n,
-            "srcc": self.srcc,
-            "plcc": self.plcc,
-            "raw_pearson": self.raw_pearson,
-            "betas": self.betas.to_list() if self.betas else None,
-            "seed": self.seed,
-        }
+        return asdict(self) | {"betas": self.betas.to_list() if self.betas else None}
 
 
 def evaluate(

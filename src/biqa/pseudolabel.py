@@ -135,6 +135,8 @@ class PairManifest(PairSidecar):
         n, k = len(self.p_r), len(self.ensemble)
         if self.n_pairs != n:
             raise PseudoLabelError(f"n_pairs {self.n_pairs} != {n} samples")
+        if n == 0:
+            raise PseudoLabelError("a pair manifest needs at least one pair")
         if self.per_model is not None and self.per_model.shape != (n, k):
             raise PseudoLabelError(f"per_model shape {self.per_model.shape} != ({n}, {k})")
         again = np.ones(n, dtype=bool)  # np.unique's stable sort finds each pair's first

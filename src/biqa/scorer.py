@@ -1,10 +1,11 @@
 """Differentiable image-quality scorer with exact analytic gradients.
 
-A stack of 3x3 stride-2 convolutions (reflect-padded "same", ReLU),
-global average pooling over the final feature maps, and a two-layer
-regression head (hidden ReLU units, then a single linear output). All
-parameters live in one flat float64 vector described by a layout table,
-which keeps the optimizer and the serialization format trivial.
+A stack of 3x3 stride-2 convolutions ("same", padded as np.pad's
+"reflect" mode pads, ReLU), global average pooling over the final
+feature maps, and a two-layer regression head (hidden ReLU units, then a
+single linear output). All parameters live in one flat float64 vector
+described by a layout table, which keeps the optimizer and the
+serialization format trivial.
 
 forward_batch() applies every ReLU in place and returns a trace that
 keeps only what backward() reads: per conv layer the im2col columns and
@@ -103,9 +104,7 @@ def _tensor_table(config: ScorerConfig) -> dict[str, tuple[int, int, tuple[int, 
 
 
 def param_count(config: ScorerConfig) -> int:
-    layout = layout_for(config)
-    name, offset, shape = layout[-1]
-    return offset + int(np.prod(shape))
+    return sum(size for _, size, _ in _tensor_table(config).values())
 
 
 @dataclass
@@ -140,20 +139,13 @@ class ForwardTrace:
         return len(self.gap)
 
 
-def _reflect(i: int, n: int) -> int:
-    if i < 0:
-        return -i
-    if i >= n:
-        return 2 * n - 2 - i
-    return i
-
-
 @functools.lru_cache(maxsize=64)
 def _conv_geometry(config: ScorerConfig) -> list[dict]:
     """Per-layer gather indices for reflect-padded same stride-2 3x3 conv.
 
     Output size is ceil(n/2); total padding 2*ceil(n/2) + 1 - n is split
-    floor-half to the top/left, remainder to the bottom/right.
+    floor-half to the top/left, remainder to the bottom/right, and the
+    padded rows (and columns) are np.pad's "reflect" of the input's.
 
     `cols_idx` holds the source pixel of each (output position, kernel
     tap); `take_idx` expands it over the input channels into an index of
@@ -167,19 +159,12 @@ def _conv_geometry(config: ScorerConfig) -> list[dict]:
         out = (size + 1) // 2
         pad_total = 2 * out + 1 - size
         pad_lo = pad_total // 2
-        rows = np.array(
-            [_reflect(i, size) for i in range(-pad_lo, -pad_lo + 2 * out + 1)]
-        )
+        rows = np.pad(np.arange(size, dtype=np.int64), (pad_lo, pad_total - pad_lo),
+                      mode="reflect")
+        # taps[o, k]: the source row (or column) of output o's kernel tap k
+        taps = rows[2 * np.arange(out)[:, None] + np.arange(3)]
         # flat source index for each (output position, kernel tap)
-        idx = np.empty((out * out, 9), dtype=np.int64)
-        for oy in range(out):
-            for ox in range(out):
-                taps = [
-                    rows[2 * oy + ky] * size + rows[2 * ox + kx]
-                    for ky in range(3)
-                    for kx in range(3)
-                ]
-                idx[oy * out + ox] = taps
+        idx = (taps[:, None, :, None] * size + taps[None, :, None, :]).reshape(out * out, 9)
         take_idx = (idx[:, :, None] * cin + np.arange(cin)).ravel()
         layers.append(
             {"in_size": size, "out_size": out, "cols_idx": idx, "take_idx": take_idx}

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from biqa import harness
 from biqa.dataset import ImageRecord
 from biqa.harness import (
     ExperimentConfig,
@@ -198,6 +199,9 @@ def test_reference_config_shape():
     assert cfg.pool.n_images == 1000
     assert len(cfg.ensemble_subsets) == 4
     assert cfg.full_tag == "blurset+noiseset+mixedset"
+    assert cfg.master_seed == 42
+    for d in cfg.datasets + [cfg.pool]:
+        assert d.seed == derive_seed(42, "data", d.name)
 
 
 def test_experiment_state_roundtrip(tmp_path):
@@ -282,6 +286,42 @@ def test_rerun_skips_and_preserves_bytes(tiny_run):
     runner = ExperimentRunner(_tiny_config(), out, threads=1)
     runner.run_all()
     assert _tree_hashes(out) == before
+
+
+def test_report_version_bump_rebuilds_only_the_reports(
+    tiny_run, tmp_path, monkeypatch, caplog
+):
+    import shutil
+
+    out, _ = tiny_run
+    work = str(tmp_path / "clone")
+    shutil.copytree(out, work)
+    before = _tree_hashes(work)
+    old_state = json.loads(Path(work, "state.json").read_text())["stages"]
+    monkeypatch.setattr(harness, "REPORT_VERSION", harness.REPORT_VERSION + 1)
+    caplog.set_level("INFO", logger="biqa.harness")
+
+    def skipped() -> list[str]:
+        messages = [r.getMessage() for r in caplog.records]
+        caplog.clear()
+        return [m.split()[1][:-1] for m in messages if m.endswith("skipped (up to date)")]
+
+    ExperimentRunner(_tiny_config(), work, threads=1).run_all()
+    assert skipped() == ["data", "stage1", "stage2", "stage3"]
+    # the reports rebuild to the same bytes; only their signatures move
+    after = _tree_hashes(work)
+    assert after.keys() == before.keys()
+    assert {p for p in after if after[p] != before[p]} == {"state.json"}
+    new_state = json.loads(Path(work, "state.json").read_text())["stages"]
+    assert old_state.keys() == new_state.keys()
+    moved = {s for s in new_state if new_state[s]["signature"] != old_state[s]["signature"]}
+    assert moved == {"cross-eval", "ablate-pairs", "ablate-ensemble"}
+    assert all(new_state[s]["outputs"] == old_state[s]["outputs"] for s in new_state)
+
+    ExperimentRunner(_tiny_config(), work, threads=1).run_all()
+    assert skipped() == ["data", "stage1", "stage2", "stage3", "cross-eval",
+                         "ablate-pairs", "ablate-ensemble"]
+    assert _tree_hashes(work) == after
 
 
 def test_threads_do_not_change_bytes(tiny_run, tmp_path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -313,8 +314,21 @@ def test_evaluate_populates_report():
     assert rep.srcc == srcc(preds, mos)
     assert rep.betas is not None
     d = rep.to_dict()
-    assert d["betas"] == rep.betas.to_list()
-    assert d["n"] == 60
+    expected = {
+        "model": "m",
+        "trained_on": "a",
+        "dataset": "b",
+        "n": 60,
+        "srcc": rep.srcc,
+        "plcc": rep.plcc,
+        "raw_pearson": rep.raw_pearson,
+        "betas": rep.betas.to_list(),
+        "seed": 3,
+    }
+    assert d == expected and list(d) == list(expected)
+    assert all(type(v) is float for v in d["betas"])
+    unfitted = replace(rep, betas=None)
+    assert unfitted.to_dict() == expected | {"betas": None}
 
 
 def _manifest(name, n, seed):

@@ -438,6 +438,18 @@ def test_load_takes_extra_columns_only_as_one_per_ensemble_member(tmp_path):
     assert load_pair_manifest(str(path)).samples == [PairSample("a", "b", 0.5)]
 
 
+def test_empty_pair_manifest_is_refused(tmp_path):
+    # a header-only file would lose its per-model columns on a round trip
+    ensemble = [{"trained_on": f"s{j}", "digest": f"d{j}"} for j in range(2)]
+    (tmp_path / "p.json").write_text(json.dumps(
+        {"pool": "pool", "n_pairs": 0, "seed": 0, "ensemble": ensemble}))
+    (tmp_path / "p.csv").write_text("x_id,y_id,p_r,p_r_1,p_r_2\n")
+    with pytest.raises(PseudoLabelError, match="at least one pair"):
+        load_pair_manifest(str(tmp_path / "p.csv"))
+    with pytest.raises(PseudoLabelError, match="at least one pair"):
+        manifest_of("pool", 0, 0, ensemble, []).validate()
+
+
 def test_validate_refuses_a_per_model_width_other_than_the_ensemble():
     ensemble = [{"trained_on": f"s{j}", "digest": f"d{j}"} for j in range(3)]
     rows = [PairSample("a", "b", 0.5, (0.4, 0.6)), PairSample("b", "a", 0.5, (0.6, 0.4))]

@@ -71,6 +71,56 @@ def test_param_count_by_hand():
     assert param_count(cfg) == expected
 
 
+def _reflect(i, n):
+    """Mirror index i into [0, n) without repeating the edge pixel."""
+    if i < 0:
+        return -i
+    if i >= n:
+        return 2 * n - 2 - i
+    return i
+
+
+def _reference_geometry(cfg):
+    """_conv_geometry's layers, built one output position and tap at a time."""
+    layers = []
+    size, cin = cfg.patch_size, cfg.channels_in
+    for cout in cfg.conv_channels:
+        out = (size + 1) // 2
+        pad_lo = (2 * out + 1 - size) // 2
+        rows = np.array([_reflect(i, size) for i in range(-pad_lo, -pad_lo + 2 * out + 1)])
+        idx = np.empty((out * out, 9), dtype=np.int64)
+        for oy in range(out):
+            for ox in range(out):
+                idx[oy * out + ox] = [rows[2 * oy + ky] * size + rows[2 * ox + kx]
+                                      for ky in range(3) for kx in range(3)]
+        take_idx = (idx[:, :, None] * cin + np.arange(cin)).ravel()
+        layers.append({"in_size": size, "out_size": out, "cols_idx": idx, "take_idx": take_idx})
+        size, cin = out, cout
+    return layers
+
+
+@pytest.mark.parametrize("conv_channels", [(8,), (8, 16), (8, 16, 32), (4, 4, 4, 4, 4)])
+@pytest.mark.parametrize("channels_in", [1, 3])
+def test_geometry_and_param_count_equal_their_references(conv_channels, channels_in):
+    for patch_size in range(2, 70):
+        try:
+            cfg = ScorerConfig(patch_size, channels_in, conv_channels)
+        except ScorerError:
+            continue  # too small for this many stride-2 blocks
+        got, want = _conv_geometry(cfg), _reference_geometry(cfg)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.keys() == w.keys()
+            for key in ("in_size", "out_size"):
+                assert type(g[key]) is type(w[key]) and g[key] == w[key]
+            for key in ("cols_idx", "take_idx"):
+                assert g[key].dtype == w[key].dtype, (patch_size, key)
+                assert np.array_equal(g[key], w[key]), (patch_size, key)
+        _, offset, shape = layout_for(cfg)[-1]
+        count = param_count(cfg)
+        assert type(count) is int and count == offset + int(np.prod(shape))
+
+
 def test_tensor_views_share_storage():
     params = init_params(_cfg(), seed=1)
     params.tensor("fc2_b")[...] = 7.5
