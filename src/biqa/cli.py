@@ -185,10 +185,9 @@ def _cmd_eval(args) -> dict:
         )
         report = dataclasses.replace(report, trained_on=trained_on)
     else:
-        ids = [r.id for r in manifest.records]
-        report = evaluate(
-            [scores[j] for j in ids],
-            [manifest.labels[j] for j in ids],
+        report = evaluate(  # scores and labels both hold the records' order
+            list(scores.values()),
+            list(manifest.labels.values()),
             model=name,
             trained_on=trained_on,
             dataset=manifest.name,

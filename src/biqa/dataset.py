@@ -65,12 +65,6 @@ class Split:
     test_ids: tuple[str, ...]
 
 
-def _as_record_pixels(arr: np.ndarray) -> np.ndarray:
-    if arr.ndim == 2:
-        arr = arr[:, :, None]
-    return arr
-
-
 def load_manifest(path: str) -> DatasetManifest:
     """Load a `id,image_path,mos` CSV and decode every referenced image.
 
@@ -88,10 +82,10 @@ def load_manifest(path: str) -> DatasetManifest:
             raise DatasetError(f"{path}: duplicate id {rid!r}")
         labels[rid] = finite_float(mos, DatasetError, f"{path}: mos of id {rid!r}")
         try:
-            pixels = _as_record_pixels(read_png(os.path.join(base, img_path)))
+            pixels = read_png(os.path.join(base, img_path))
         except (OSError, PngError) as exc:
             raise DatasetError(f"{path}: cannot read image for {rid!r}: {exc}")
-        records.append(ImageRecord(id=rid, pixels=pixels))
+        records.append(ImageRecord(rid, pixels[:, :, None] if pixels.ndim == 2 else pixels))
     if not records:
         raise DatasetError(f"{path}: manifest has no records")
     return DatasetManifest(name=name, records=records, labels=labels)
@@ -203,7 +197,8 @@ def read_csv(path: str, header: tuple[str, ...], error, extra: tuple[str, ...] =
     """Yield each row after the header of the CSV at path as a list of
     strings (quotes parsed as csv.reader parses them, blank lines skipped).
     The header must be `header` or `header + extra`, and every row must
-    have its field count; error(message) names the file and line."""
+    have its field count; error(message) names the file and line (only the
+    file for text that is not UTF-8)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -221,6 +216,8 @@ def read_csv(path: str, header: tuple[str, ...], error, extra: tuple[str, ...] =
                                 f"with {len(row)} fields, header has {n}")
         except csv.Error as exc:
             raise error(f"{path}: line {reader.line_num}: {exc}")
+        except UnicodeDecodeError as exc:  # decoded in chunks: no line number
+            raise error(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def finite_float(text: str, error, where: str) -> float:

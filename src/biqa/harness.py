@@ -15,8 +15,9 @@ recorded only after all its artifacts are in place, so a run interrupted
 mid-stage rebuilds that stage on resume. Every file (images, dataset
 CSVs, models, pair manifests, reports and state) lands through
 png_io.write_atomic, a temp file and a rename, so none is ever
-half-written. A rerun with an unchanged signature verifies each recorded
-artifact once and reuses it; a hash mismatch on a recorded artifact is
+half-written. One rule, ExperimentState.entry, builds a file's or a
+directory's entry and, on a rerun with an unchanged signature, verifies
+each recorded one once; the artifact is then reused, and a mismatch is
 refused rather than silently recomputed (--force rebuilds). Report
 stages are also signed over REPORT_VERSION: bump it whenever metric or
 report code changes what a report holds, so a resumed tree rebuilds its
@@ -291,19 +292,22 @@ class ExperimentState:
         self.data["stages"][name] = {"signature": signature, "outputs": outputs}
         self.save()
 
+    def entry(self, rel: str) -> dict:
+        """{"tree", "sha256"} for a directory at rel under the output
+        directory (see _tree_digest), {"path", "sha256"} for a file."""
+        path = os.path.join(self.out_dir, rel)
+        if os.path.isdir(path):
+            return {"tree": rel, "sha256": _tree_digest(path)}
+        return {"path": rel, "sha256": sha256_file(path)}
+
     def outputs_ok(self, name: str) -> bool:
         stage = self.stage(name)
         if stage is None:
             return False
-        for entry in stage["outputs"].values():
-            if "path" in entry:
-                path = os.path.join(self.out_dir, entry["path"])
-                if not os.path.exists(path) or sha256_file(path) != entry["sha256"]:
-                    return False
-            elif "tree" in entry:
-                root = os.path.join(self.out_dir, entry["tree"])
-                if not os.path.isdir(root) or _tree_digest(root) != entry["sha256"]:
-                    return False
+        for recorded in stage["outputs"].values():
+            rel = recorded["path"] if "path" in recorded else recorded["tree"]
+            if not os.path.exists(os.path.join(self.out_dir, rel)) or self.entry(rel) != recorded:
+                return False
         return True
 
 
@@ -354,7 +358,6 @@ class ExperimentRunner:
         self.out_dir = out_dir
         self.threads = max(1, int(threads))
         self.force = bool(force)
-        os.makedirs(out_dir, exist_ok=True)
         for sub in ("data", "models", "pairs", "reports"):
             os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
         self.state = ExperimentState.load(out_dir)
@@ -412,10 +415,6 @@ class ExperimentRunner:
         h.update(bytes.fromhex(outputs[f"images:{name}"]["sha256"]))
         return h.hexdigest()
 
-    def _entry(self, rel: str) -> dict:
-        """The state entry of the file at rel under the output directory."""
-        return {"path": rel, "sha256": sha256_file(os.path.join(self.out_dir, rel))}
-
     def _save_model(self, params: ScorerParams, stem: str) -> dict:
         digest = sha256_bytes(serialize_params(params))
         rel = f"models/{stem}-{digest[:12]}.bin"
@@ -445,15 +444,9 @@ class ExperimentRunner:
                 if os.path.isdir(image_dir):
                     shutil.rmtree(image_dir)
             self._map(lambda c: gen_biased_dataset(c, data_dir), all_configs)
-            outputs = {}
-            for c in all_configs:
-                for label, rel in _data_files(c.name):
-                    outputs[f"{label}:{c.name}"] = self._entry(f"data/{rel}")
-                outputs[f"images:{c.name}"] = {
-                    "tree": f"data/{c.name}",
-                    "sha256": _tree_digest(os.path.join(data_dir, c.name)),
-                }
-            return outputs
+            return {f"{label}:{c.name}": self.state.entry(f"data/{rel}")
+                    for c in all_configs
+                    for label, rel in (*_data_files(c.name), ("images", c.name))}
 
         def load(_outputs: dict) -> None:
             for c in all_configs:
@@ -556,7 +549,7 @@ class ExperimentRunner:
                         os.replace(tmp + ext, os.path.join(self.out_dir, rel + ext))
                     key = f"{tag}:n{n}"
                     outputs[f"pairs:{key}"] = {"path": rel + ".csv", "sha256": digest}
-                    outputs[f"pairs-meta:{key}"] = self._entry(rel + ".json")
+                    outputs[f"pairs-meta:{key}"] = self.state.entry(rel + ".json")
             return outputs
 
         payload = {

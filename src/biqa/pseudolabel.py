@@ -142,12 +142,16 @@ class PairManifest(PairSidecar):
         again = np.ones(n, dtype=bool)  # np.unique's stable sort finds each pair's first
         again[np.unique(self.x * len(self.ids) + self.y, return_index=True)[1]] = False
         bad = (self.x == self.y) | ~((self.p_r > 0.0) & (self.p_r < 1.0)) | again
+        if self.per_model is not None:  # each model's probability lies in [0, 1]
+            bad |= ~((self.per_model >= 0.0) & (self.per_model <= 1.0)).all(axis=1)
         if bad.any():  # report the first bad pair as a per-pair check would
             s = self.samples[bad.argmax()]
             if s.x_id == s.y_id:
                 raise PseudoLabelError(f"self-pair {s.x_id!r}")
             if not 0.0 < s.p_r < 1.0:
                 raise PseudoLabelError(f"pair ({s.x_id}, {s.y_id}): p_r {s.p_r}")
+            if not all(0.0 <= p <= 1.0 for p in s.per_model or ()):
+                raise PseudoLabelError(f"pair ({s.x_id}, {s.y_id}): per_model {s.per_model}")
             raise PseudoLabelError(f"duplicate ordered pair {(s.x_id, s.y_id)}")
 
 

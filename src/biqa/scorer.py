@@ -177,24 +177,16 @@ def _conv_geometry(config: ScorerConfig) -> list[dict]:
 def init_params(config: ScorerConfig, seed: int) -> ScorerParams:
     """He-style init: weights ~ Normal(0, 2/fan_in), biases 0.
 
-    Tensors are filled in layout order from a single SplitMix64(seed)
-    stream, one normal block per weight tensor.
+    Every `*_w` tensor of layout_for(config), in layout order, takes one
+    normal block from a single SplitMix64(seed) stream; its fan_in is the
+    product of all its axes but the last.
     """
-    values = np.zeros(param_count(config), dtype=np.float64)
+    params = ScorerParams(config, np.zeros(param_count(config), dtype=np.float64))
     rng = SplitMix64(seed)
-    cin = config.channels_in
-    params = ScorerParams(config=config, values=values)
-    for i, cout in enumerate(config.conv_channels):
-        w = params.tensor(f"conv{i}_w")
-        w[...] = (rng.normal_block(w.size) * np.sqrt(2.0 / (9 * cin))).reshape(w.shape)
-        cin = cout
-    p = config.conv_channels[-1]
-    fc1 = params.tensor("fc1_w")
-    fc1[...] = (rng.normal_block(fc1.size) * np.sqrt(2.0 / p)).reshape(fc1.shape)
-    fc2 = params.tensor("fc2_w")
-    fc2[...] = (rng.normal_block(fc2.size) * np.sqrt(2.0 / config.hidden)).reshape(
-        fc2.shape
-    )
+    for name, _, shape in layout_for(config):
+        if name.endswith("_w"):
+            w = params.tensor(name)
+            w[...] = (rng.normal_block(w.size) * np.sqrt(2.0 / np.prod(shape[:-1]))).reshape(shape)
     return params
 
 

@@ -191,10 +191,8 @@ def apply_degradation(
             raise SynthError("additive_noise requires an rng stream")
         noise = NOISE_STD_SCALE * m * rng.normal_block(record.pixels.size)
         out = np.clip(record.pixels + noise.reshape(record.pixels.shape), 0.0, 1.0)
-    elif spec.kind == "contrast_reduction":
+    else:  # contrast_reduction, the one kind left that DegradationSpec admits
         out = 0.5 + (1.0 - CONTRAST_SHRINK_SCALE * m) * (record.pixels - 0.5)
-    else:  # pragma: no cover - guarded by DegradationSpec
-        raise SynthError(f"unknown kind {spec.kind!r}")
     return ImageRecord(id=record.id, pixels=out)
 
 

@@ -271,6 +271,18 @@ def test_exit_code_2_on_bad_inputs(cli_env, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_csv_that_is_not_utf8_is_named_in_the_error(cli_env, tmp_path, capsys):
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes("id,image_path,mos\ncafé,a.png,0.5\n".encode("latin-1"))
+    assert dispatch([
+        "train-single",
+        "--dataset", str(latin1),
+        "--scorer-config", cli_env["scorer_cfg"],
+        "--out", str(tmp_path / "m.bin"),
+    ]) == 2
+    assert f"error: {latin1}: not UTF-8 text" in capsys.readouterr().err
+
+
 def test_exit_code_3_on_divergence(cli_env, tmp_path, capsys):
     hot = TrainConfig(
         epochs=2,

@@ -139,6 +139,29 @@ def test_read_checks_header_and_field_count(tmp_path):
         list(read_csv(str(path), ("k", "v"), SynthError))
 
 
+@pytest.mark.parametrize("good_rows", [0, 5000])
+def test_read_names_the_file_of_text_that_is_not_utf8(tmp_path, good_rows):
+    # the reader decodes in chunks, so a bad byte can surface after rows
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("k,v\n".encode() + b"a,1\n" * good_rows + "café,2\n".encode("latin-1"))
+    with pytest.raises(SynthError, match=r"latin1\.csv: not UTF-8 text: 'utf-8' codec"):
+        list(read_csv(str(path), ("k", "v"), SynthError))
+
+
+@pytest.mark.parametrize("reader, error, text", [
+    (load_manifest, DatasetError, "id,image_path,mos\ncafé,a.png,0.5\n"),
+    (load_ground_truth, SynthError, "id,qstar\ncafé,0.5\n"),
+    (load_pair_manifest, PseudoLabelError, "x_id,y_id,p_r\ncafé,b,0.5\n"),
+], ids=["manifest", "truth", "pairs"])
+def test_every_reader_names_a_file_that_is_not_utf8(tmp_path, reader, error, text):
+    (tmp_path / "latin1.json").write_text(
+        '{"pool": "pool", "n_pairs": 1, "seed": 0, "ensemble": []}')  # the pairs' sidecar
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(error, match=r"latin1\.csv: not UTF-8 text"):
+        reader(str(path))
+
+
 # ---- every table keeps its bytes -----------------------------------------
 
 

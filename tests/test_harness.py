@@ -219,6 +219,21 @@ def test_experiment_state_roundtrip(tmp_path):
     assert not again.outputs_ok("demo")
 
 
+def test_entry_rule_builds_what_outputs_ok_checks(tmp_path):
+    state = ExperimentState(str(tmp_path))
+    (tmp_path / "imgs").mkdir()
+    (tmp_path / "imgs" / "0.png").write_bytes(b"png")
+    (tmp_path / "t.csv").write_bytes(b"csv")
+    assert state.entry("t.csv") == {"path": "t.csv", "sha256": hashlib.sha256(b"csv").hexdigest()}
+    # a tree's digest: each file's name, a NUL and its sha256, in name order
+    tree = hashlib.sha256(b"0.png\0" + hashlib.sha256(b"png").digest()).hexdigest()
+    assert state.entry("imgs") == {"tree": "imgs", "sha256": tree}
+    state.record("demo", "sig", {"csv": state.entry("t.csv"), "images": state.entry("imgs")})
+    assert state.outputs_ok("demo")
+    (tmp_path / "imgs" / "1.png").write_bytes(b"more")
+    assert not state.outputs_ok("demo")
+
+
 @pytest.mark.parametrize("payload", [
     [1, 2], "state", 3, None,
     {"schema": 1, "stages": []},
@@ -353,6 +368,29 @@ def test_stale_artifact_refused_then_forced(tiny_run, tmp_path):
     fixed = ExperimentRunner(_tiny_config(), work, threads=1, force=True)
     fixed.run_all()
     assert _tree_hashes(work) == _tree_hashes(out)
+
+
+@pytest.mark.parametrize("key, rel", [("truth:blurs", "data/blurs.truth.csv"),
+                                      ("images:blurs", "data/blurs")],
+                         ids=["file-became-a-directory", "directory-became-a-file"])
+def test_an_artifact_of_the_other_kind_is_refused(tiny_run, tmp_path, key, rel):
+    import shutil
+
+    out, _ = tiny_run
+    work = tmp_path / "clone"
+    shutil.copytree(out, work)
+    target = work / rel
+    if target.is_dir():
+        shutil.rmtree(target)
+        target.write_bytes(b"")
+    else:  # a directory holding the recorded file's bytes
+        content = target.read_bytes()
+        target.unlink()
+        target.mkdir()
+        (target / "blurs.truth.csv").write_bytes(content)
+    assert rel in ExperimentState.load(str(work)).stage("data")["outputs"][key].values()
+    with pytest.raises(HarnessError, match="stage 'data' artifacts do not match"):
+        ExperimentRunner(_tiny_config(), str(work), threads=1).run_all()
 
 
 @pytest.mark.parametrize("stage, key, damage", [

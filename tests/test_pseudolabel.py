@@ -458,6 +458,27 @@ def test_validate_refuses_a_per_model_width_other_than_the_ensemble():
     manifest_of("pool", 2, 0, ensemble[:2], rows).validate()
 
 
+def test_per_model_probabilities_outside_the_unit_interval_are_refused(tmp_path):
+    ensemble = [{"trained_on": "s0", "digest": "d0"}]
+    (tmp_path / "p.json").write_text(json.dumps(
+        {"pool": "pool", "n_pairs": 3, "seed": 0, "ensemble": ensemble}))
+    path = str(tmp_path / "p.csv")
+    for first_bad, column in [("b, a", ("0.0", "nan", "7.5")), ("b, c", ("1.0", "0.5", "7.5")),
+                              ("a, b", ("-0.25", "0.5", "0.5"))]:
+        rows = [f"{x},{y},0.5,{p}" for (x, y), p in zip([("a", "b"), ("b", "a"), ("b", "c")], column)]
+        (tmp_path / "p.csv").write_text("\n".join(["x_id,y_id,p_r,p_r_1", *rows]) + "\n")
+        with pytest.raises(PseudoLabelError, match=rf"pair \({first_bad}\): per_model"):
+            load_pair_manifest(path)
+    # both ends of [0, 1] are probabilities
+    (tmp_path / "p.csv").write_text("x_id,y_id,p_r,p_r_1\na,b,0.5,0.0\nb,a,0.5,1.0\nb,c,0.5,0.5\n")
+    assert load_pair_manifest(path).per_model.tolist() == [[0.0], [1.0], [0.5]]
+    man = _view_manifest(True)  # and a built manifest is checked the same way
+    man.per_model[5, 1] = float("inf")
+    s = man.samples[5]
+    with pytest.raises(PseudoLabelError, match=rf"pair \({s.x_id}, {s.y_id}\): per_model"):
+        man.validate()
+
+
 def _view_manifest(keep_per_model):
     ids = ["a", "b", "c", "d"]
     table = [{"a": 0.1, "b": 0.5, "c": 0.9, "d": 0.3}, {"a": 0.7, "b": 0.2, "c": 0.4, "d": 0.6}]
@@ -523,6 +544,8 @@ def _reference_validate(manifest):
             raise PseudoLabelError(f"self-pair {s.x_id!r}")
         if not 0.0 < s.p_r < 1.0:
             raise PseudoLabelError(f"pair ({s.x_id}, {s.y_id}): p_r {s.p_r}")
+        if not all(0.0 <= p <= 1.0 for p in s.per_model or ()):
+            raise PseudoLabelError(f"pair ({s.x_id}, {s.y_id}): per_model {s.per_model}")
         key = (s.x_id, s.y_id)
         if key in seen:
             raise PseudoLabelError(f"duplicate ordered pair {key}")
@@ -538,25 +561,37 @@ def _error(fn, *args):
 
 
 def test_validate_names_the_first_bad_pair_as_the_per_pair_loop_does():
+    for width in (0, 2):  # without and with per-model columns
+        _check_validate_against_the_per_pair_loop(width)
+
+
+def _check_validate_against_the_per_pair_loop(width):
     rng = SplitMix64(17)
     ids = [f"i{k}" for k in range(40)]
+    ensemble = [{"trained_on": f"s{j}", "digest": f"d{j}"} for j in range(width)]
     bad_labels = [0.0, 1.0, -0.5, 1.5, float("nan"), float("inf")]
     errors = set()
     for _ in range(400):
         words = rng.next_u64_block(64).tolist()
-        rows = [PairSample(ids[w % 40], ids[(w % 40 + 1 + (w >> 8) % 39) % 40],
-                           0.1 + 0.8 * ((w >> 16) % 97) / 97) for w in words[:12]]
+        rows = []
+        for w in words[:12]:
+            p = 0.1 + 0.8 * ((w >> 16) % 97) / 97
+            rows.append(PairSample(ids[w % 40], ids[(w % 40 + 1 + (w >> 8) % 39) % 40], p,
+                                   (p, 1 - p)[:width] or None))
         for w in words[12:12 + words[63] % 4]:  # damage up to three rows
-            k, other, kind = w % 12, rows[(w >> 8) % 12], (w >> 16) % 3
-            rows[k] = [PairSample(rows[k].x_id, rows[k].y_id, bad_labels[(w >> 24) % 6]),
-                       PairSample(rows[k].x_id, rows[k].x_id, rows[k].p_r),
-                       PairSample(other.x_id, other.y_id, rows[k].p_r)][kind]
-        man = manifest_of("pool", 12, 0, [], rows)
+            k, other, kind = w % 12, rows[(w >> 8) % 12], (w >> 16) % (4 if width else 3)
+            x, y, p, pm = rows[k].x_id, rows[k].y_id, rows[k].p_r, rows[k].per_model
+            bad = bad_labels[(w >> 24) % 6]
+            rows[k] = [PairSample(x, y, bad, pm), PairSample(x, x, p, pm),
+                       PairSample(other.x_id, other.y_id, p, pm),
+                       PairSample(x, y, p, pm and (pm[0], bad))][kind]
+        man = manifest_of("pool", 12, 0, ensemble, rows)
         want = _error(_reference_validate, man)
         assert _error(man.validate) == want
-        errors.add(want.split(" ")[0] if want else None)
-    assert errors == {None, "self-pair", "pair", "duplicate"}
-    assert _error(manifest_of("pool", 13, 0, [], rows).validate) == "n_pairs 13 != 12 samples"
+        parts = (want or "none").split(" ")
+        errors.add(parts[3] if parts[0] == "pair" else parts[0])
+    assert errors == {"none", "self-pair", "p_r", "duplicate"} | ({"per_model"} if width else set())
+    assert _error(manifest_of("pool", 13, 0, ensemble, rows).validate) == "n_pairs 13 != 12 samples"
 
 
 # ---- the paper's scale: 999,000 pairs, bytes pinned ----------------------

@@ -137,6 +137,38 @@ def test_init_deterministic_biases_zero():
         assert np.all(a.tensor(name) == 0.0)
 
 
+def _reference_init(config, seed):
+    """init_params written out per tensor kind: each conv kernel with
+    fan_in 9*cin, then fc1 with the last conv width, then fc2 with hidden."""
+    params = ScorerParams(config=config, values=np.zeros(param_count(config)))
+    rng = SplitMix64(seed)
+    cin = config.channels_in
+    for i, cout in enumerate(config.conv_channels):
+        w = params.tensor(f"conv{i}_w")
+        w[...] = (rng.normal_block(w.size) * np.sqrt(2.0 / (9 * cin))).reshape(w.shape)
+        cin = cout
+    fc1 = params.tensor("fc1_w")
+    fc1[...] = (rng.normal_block(fc1.size)
+                * np.sqrt(2.0 / config.conv_channels[-1])).reshape(fc1.shape)
+    fc2 = params.tensor("fc2_w")
+    fc2[...] = (rng.normal_block(fc2.size) * np.sqrt(2.0 / config.hidden)).reshape(fc2.shape)
+    return params
+
+
+@pytest.mark.parametrize("conv_channels", [(8,), (8, 16), (3, 5, 7), (4, 4, 4, 4)])
+@pytest.mark.parametrize("channels_in", [1, 3])
+@pytest.mark.parametrize("hidden", [1, 7, 64])
+def test_init_bits_equal_the_per_tensor_reference(conv_channels, channels_in, hidden):
+    for patch_size in (5, 8, 17, 32):
+        try:
+            cfg = ScorerConfig(patch_size, channels_in, conv_channels, hidden)
+        except ScorerError:
+            continue  # too small for this many stride-2 blocks
+        for seed in (0, 1, 42, 2**63):
+            got, want = init_params(cfg, seed).values, _reference_init(cfg, seed).values
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (cfg, seed)
+
+
 def test_init_scales_match_fan_in():
     cfg = ScorerConfig(patch_size=32, channels_in=1, conv_channels=(32, 64), hidden=128)
     params = init_params(cfg, seed=0)
