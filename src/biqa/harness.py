@@ -52,13 +52,13 @@ from .metrics import (
 )
 from .png_io import write_atomic
 from .pseudolabel import (
-    SCORE_BATCH,
     EnsembleSnapshot,
     build_pair_manifest,
     central_crop_store,
     load_pair_manifest,
     save_pair_manifest,
     score_pool,
+    score_slices,
 )
 from .rng import derive_seed
 from .scorer import (
@@ -161,6 +161,13 @@ class ExperimentConfig:
             raise HarnessError("patch_size exceeds a generated image size")
         if not 0.0 < self.split_fraction < 1.0:
             raise HarnessError("split_fraction must be in (0, 1)")
+        if self.stage3.patches_per_image != 1:
+            # train_pairwise trains on one fixed crop per image and never
+            # reads the field, which still signs stage 3
+            raise HarnessError(
+                f"stage3.patches_per_image is {self.stage3.patches_per_image}; stage 3 "
+                "trains on one fixed crop per image, so it must be 1"
+            )
 
     @property
     def dataset_names(self) -> list[str]:
@@ -333,13 +340,12 @@ def _unseeded(train: TrainConfig) -> dict:
 
 def crop_scorer(params: ScorerParams, crops: dict[str, np.ndarray]):
     """fn(records) -> one score per record, from its fixed crop in crops,
-    in record order and in batches of SCORE_BATCH."""
+    in record order and in the batches of score_slices."""
 
     def fn(records) -> np.ndarray:
         out = np.empty(len(records))
-        for lo in range(0, len(records), SCORE_BATCH):
-            chunk = np.stack([crops[r.id] for r in records[lo : lo + SCORE_BATCH]])
-            out[lo : lo + len(chunk)], _ = forward_batch(params, chunk)
+        for rows in score_slices(len(records)):
+            out[rows] = forward_batch(params, np.stack([crops[r.id] for r in records[rows]]))[0]
         return out
 
     return fn
@@ -384,15 +390,24 @@ class ExperimentRunner:
         """Run one cached stage once per runner and return load(outputs).
 
         The stage is signed over {"stage": name} | payload. When it is
-        unrecorded, its signature changed or --force is set, build() writes
-        its artifacts and returns their state entries, which are recorded
-        only after it returns. Otherwise every recorded artifact is
-        verified once; a mismatch is refused.
+        unrecorded, --force is set or its signature changed, one INFO line
+        says which, and build() writes its artifacts and returns their
+        state entries, which are recorded only after it returns. Otherwise
+        every recorded artifact is verified once; a mismatch is refused.
         """
         if name not in self._memo:
             signature = signature_of({"stage": name} | payload)
             stage = self.state.stage(name)
-            if self.force or stage is None or stage["signature"] != signature:
+            if stage is None:
+                reason = "not recorded"
+            elif self.force:
+                reason = "--force"
+            elif stage["signature"] != signature:
+                reason = f"signature changed ({stage['signature'][:12]} -> {signature[:12]})"
+            else:
+                reason = None
+            if reason:
+                log.info("stage %s: runs, %s", name, reason)
                 self.state.record(name, signature, build())
             elif not self.state.outputs_ok(name):
                 raise HarnessError(

@@ -330,6 +330,22 @@ def test_run_experiment_and_ablate(tmp_path, capsys):
     assert [r["n_pairs"] for r in payload["rungs"]] == [6, 20]
 
 
+def test_run_experiment_exits_2_on_stage3_patches_it_would_ignore(tmp_path, capsys):
+    from dataclasses import replace
+
+    from biqa.harness import save_config
+    from test_harness import _tiny_config
+
+    cfg = _tiny_config()
+    cfg.stage3 = replace(cfg.stage3, patches_per_image=5)
+    cfg_path = str(tmp_path / "exp.json")
+    save_config(cfg, cfg_path)
+    out = tmp_path / "exp"
+    assert dispatch(["run-experiment", "--config", cfg_path, "--out", str(out)]) == 2
+    assert "stage3.patches_per_image is 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 _BLAS_VARS = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
 
 # Records, for each os.environ.setdefault call, whether numpy was already

@@ -26,6 +26,8 @@ from biqa.scorer import ScorerConfig, forward_batch, init_params
 from biqa.synthbench import BiasedDatasetConfig, SynthError
 from biqa.trainer import TrainConfig
 
+from test_pseudolabel import SCORE_SIZES
+
 
 def _tiny_config(master_seed=7):
     def ds(name, kinds, remap, n, size=20):
@@ -81,16 +83,17 @@ def test_subset_tag_and_signature():
 
 def test_crop_scorer_keeps_record_order_across_batches():
     params = init_params(ScorerConfig(8, 1, (4,), hidden=4), 3)
-    crops = {
-        f"r{i:03d}": SplitMix64(i).uniform_block(64).reshape(8, 8, 1) for i in range(300)
-    }
-    ids = sorted(crops)
-    SplitMix64(5).shuffle(ids)  # 300 records cross the 256-record chunk boundary
-    # the crops live in the dict; the records carry only their ids
-    records = [ImageRecord(id=i, pixels=np.zeros((1, 1, 1))) for i in ids]
-    scores = crop_scorer(params, crops)(records)
-    expected = [forward_batch(params, crops[i][None])[0][0] for i in ids]
-    np.testing.assert_allclose(scores, expected, rtol=1e-12)
+    for n in SCORE_SIZES:
+        crops = {
+            f"r{i:03d}": SplitMix64(i).uniform_block(64).reshape(8, 8, 1) for i in range(n)
+        }
+        ids = sorted(crops)
+        SplitMix64(5).shuffle(ids)  # a shuffled order, chunked by SCORE_BATCH records
+        # the crops live in the dict; the records carry only their ids
+        records = [ImageRecord(id=i, pixels=np.zeros((1, 1, 1))) for i in ids]
+        scores = crop_scorer(params, crops)(records)
+        expected = forward_batch(params, np.stack([crops[i] for i in ids]))[0]
+        assert scores.tolist() == expected.tolist(), n
 
 
 def test_config_validation():
@@ -131,6 +134,10 @@ def test_config_validation():
     bad = _tiny_config()
     bad.split_fraction = 1.0
     with pytest.raises(HarnessError, match="split_fraction"):
+        bad.validate()
+    bad = _tiny_config()
+    bad.stage3 = replace(bad.stage3, patches_per_image=5)
+    with pytest.raises(HarnessError, match="stage3.patches_per_image is 5"):
         bad.validate()
 
 
@@ -337,6 +344,40 @@ def test_report_version_bump_rebuilds_only_the_reports(
     assert skipped() == ["data", "stage1", "stage2", "stage3", "cross-eval",
                          "ablate-pairs", "ablate-ensemble"]
     assert _tree_hashes(work) == after
+
+
+def _data_stage_lines(caplog, cfg, out, force=False) -> list[str]:
+    caplog.clear()
+    caplog.set_level("INFO", logger="biqa.harness")
+    ExperimentRunner(cfg, out, threads=1, force=force).run_data()
+    return [m for m in caplog.messages if m.startswith(("stage data: runs", "stage data: skip"))]
+
+
+def test_stage_logs_that_it_runs_when_not_recorded(tmp_path, caplog):
+    assert _data_stage_lines(caplog, _tiny_config(), str(tmp_path)) == [
+        "stage data: runs, not recorded"
+    ]
+
+
+def test_stage_logs_that_it_runs_under_force(tmp_path, caplog):
+    out = str(tmp_path)
+    _data_stage_lines(caplog, _tiny_config(), out)
+    assert _data_stage_lines(caplog, _tiny_config(), out) == ["stage data: skipped (up to date)"]
+    assert _data_stage_lines(caplog, _tiny_config(), out, force=True) == [
+        "stage data: runs, --force"
+    ]
+
+
+def test_stage_logs_old_and_new_signature_when_it_changed(tmp_path, caplog):
+    out = str(tmp_path)
+    cfg = _tiny_config()
+    _data_stage_lines(caplog, cfg, out)
+    old = ExperimentState.load(out).stage("data")["signature"]
+    cfg.pool = replace(cfg.pool, n_images=14)
+    lines = _data_stage_lines(caplog, cfg, out)
+    new = ExperimentState.load(out).stage("data")["signature"]
+    assert old != new
+    assert lines == [f"stage data: runs, signature changed ({old[:12]} -> {new[:12]})"]
 
 
 def test_threads_do_not_change_bytes(tiny_run, tmp_path):

@@ -1,12 +1,14 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from biqa.dataset import DatasetError, ImageRecord
 from biqa.pseudolabel import (
+    SCORE_BATCH,
     EnsembleSnapshot,
     PairSample,
     PseudoLabelError,
@@ -19,6 +21,7 @@ from biqa.pseudolabel import (
     sample_pairs,
     save_pair_manifest,
     score_pool,
+    score_slices,
 )
 from biqa.rng import MASK64, SplitMix64, derive_seed
 from biqa.scorer import ScorerConfig, forward_batch, init_params, params_digest
@@ -123,15 +126,58 @@ def test_central_crop_store_rejects_crop_larger_than_image():
         central_crop_store([rec], 8)
 
 
+# pool sizes around the SCORE_BATCH chunk boundaries
+SCORE_SIZES = [1, SCORE_BATCH - 1, SCORE_BATCH, SCORE_BATCH + 1, 3 * SCORE_BATCH + 5]
+
+
 def test_score_pool_matches_direct_forward():
-    recs = _records(5, size=8)
     snap = EnsembleSnapshot.from_params([_member_params(3), _member_params(4)])
-    ids = sorted(r.id for r in recs)
-    store = {r.id: r.pixels for r in recs}
-    table = score_pool(snap, ids, store)
-    assert len(table) == 2
-    direct, _ = forward_batch(snap.members[0].params, np.stack([store[i] for i in ids]))
-    assert [table[0][i] for i in ids] == direct.tolist()
+    for n in SCORE_SIZES:
+        recs = _records(n, size=8)
+        ids = sorted(r.id for r in recs)
+        store = {r.id: r.pixels for r in recs}
+        table = score_pool(snap, ids, store)
+        assert len(table) == 2
+        # one forward_batch over every crop; a one-crop batch would not do,
+        # as numpy gives its head matmuls other BLAS kernels (see score_slices)
+        pool = np.stack([store[i] for i in ids])
+        for member, scores in zip(snap.members, table):
+            assert list(scores) == ids
+            assert [scores[i] for i in ids] == forward_batch(member.params, pool)[0].tolist(), n
+
+
+def test_score_slices_cover_the_rows_and_keep_no_lone_last_row():
+    b = SCORE_BATCH
+    assert score_slices(0) == []
+    assert score_slices(1) == [slice(0, 1)]
+    assert score_slices(b) == [slice(0, b)]
+    assert score_slices(b + 1) == [slice(0, b + 1)]
+    assert score_slices(b + 2) == [slice(0, b), slice(b, b + 2)]
+    assert score_slices(2 * b + 1) == [slice(0, b), slice(b, 2 * b + 1)]
+
+
+def test_score_pool_peak_memory_is_one_batch_not_the_pool():
+    cfg = ScorerConfig(patch_size=32, channels_in=1, conv_channels=(2, 3), hidden=4)
+    snap = EnsembleSnapshot.from_params([init_params(cfg, seed=s) for s in (1, 2)])
+    n = 16 * SCORE_BATCH
+    crop = SplitMix64(9).uniform_block(32 * 32).reshape(32, 32, 1)
+    store = {f"r{k:05d}": crop for k in range(n)}  # one shared array: the store costs no crops
+    ids = sorted(store)
+    batch = np.stack([crop] * SCORE_BATCH)
+    trace = forward_batch(snap.members[0].params, batch)[1]
+    arrays = [batch, *trace.conv_cols, *trace.conv_post, trace.gap, trace.fc1_post]
+    one_batch = sum(a.nbytes for a in arrays)
+    # the returned table, one dict of Python floats per member, is the only
+    # part that grows with the pool
+    table_bytes = len(snap.members) * n * 200
+    tracemalloc.start()
+    try:
+        score_pool(snap, ids, store)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # stacking the whole pool first alone would take 16 batches of crops
+    assert peak < 2 * one_batch + table_bytes, (peak, one_batch, table_bytes)
 
 
 def test_score_pool_input_validation():
