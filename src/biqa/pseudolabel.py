@@ -1,24 +1,25 @@
 """Ensemble pseudo-labels for ranked image pairs.
 
 Every biased scorer rates every pool image once (on its fixed central
-crop), the score difference of a pair becomes a probability through a
-sigmoid, and the ensemble's mean probability is the pair's pseudo-label.
-Scores are deliberately not renormalized across models. Stage-1 training
-targets labels in [0, 1], but nothing bounds a trained scorer's output, so
-a model's probabilities stay inside roughly [0.269, 0.731] only while its
-scores stay inside [0, 1]. A model whose scores span a wider range gives
-probabilities further from 0.5 and so weighs more in the ensemble mean.
+crop). The pseudo-label of the ordered pair (x, y) is the probability that
+x has the higher quality: each model's sigmoid(q_x - q_y), computed over
+arrays with one stable_sigmoid call per model, then their mean, one
+math.fsum per pair, which is exactly rounded and so independent of model
+order. Scores are deliberately not renormalized across models. Stage-1
+training targets labels in [0, 1], but nothing bounds a trained scorer's
+output, so a model's probabilities stay inside roughly [0.269, 0.731] only
+while its scores stay inside [0, 1]. A model whose scores span a wider
+range gives probabilities further from 0.5 and so weighs more in the
+ensemble mean.
 
 Pairs are drawn without replacement from the n*(n-1) ordered-pair index
 space by a keyed Feistel permutation with cycle walking, so pair lists
 are uniform, duplicate-free, cheap at millions of pairs, and nested:
 the first k pairs of a longer run equal the k-pair run for the same seed.
 
-Both steps work on whole arrays: the uint64 Feistel permutation, one
-sigmoid per model over all its score differences (bit-equal to
-relative_prob), and math.fsum's mean per pair (bit-equal to
-ensemble_pseudolabel). A PairManifest holds its pairs as index and
-probability columns; its `samples` property builds PairSample rows.
+The Feistel permutation also works on whole uint64 arrays. A PairManifest
+holds its pairs as index and probability columns; its `samples` property
+builds PairSample rows.
 """
 
 from __future__ import annotations
@@ -178,20 +179,6 @@ class _Samples(list):
             m.per_model[i] = s.per_model
 
 
-def relative_prob(q_x: float, q_y: float) -> float:
-    """Probability that X has higher quality than Y: sigmoid(q_x - q_y)."""
-    return float(stable_sigmoid(np.float64(q_x) - np.float64(q_y)))
-
-
-def ensemble_pseudolabel(per_model_probs) -> float:
-    """Mean of the per-model probabilities (exactly rounded, so the
-    result is independent of model order)."""
-    probs = list(per_model_probs)
-    if not probs:
-        raise PseudoLabelError("no per-model probabilities")
-    return math.fsum(probs) / len(probs)
-
-
 def central_crop_store(records: list[ImageRecord], crop: int) -> dict[str, np.ndarray]:
     """Fixed evaluation crop per image: the (crop, crop, C) center crop at
     native resolution. For an odd margin the extra row/column is taken
@@ -283,8 +270,10 @@ def build_pair_manifest(
     keep_per_model: bool = False,
 ) -> PairManifest:
     """Assemble a labeled manifest from precomputed per-model scores."""
-    if len(table) != len(provenance) or not table:
+    if len(table) != len(provenance):
         raise PseudoLabelError("score table and provenance lengths differ")
+    if not table:
+        raise PseudoLabelError("no ensemble members")
     ids = list(image_ids)
     x, y = sample_pairs(ids, n_pairs, seed)
     scores = [np.array([q[i] for i in ids], dtype=np.float64) for q in table]

@@ -27,7 +27,7 @@ from biqa.metrics import (
     rank_average,
     srcc,
 )
-from biqa.pseudolabel import central_crop_store, ensemble_pseudolabel, relative_prob
+from biqa.pseudolabel import build_pair_manifest, central_crop_store
 from biqa.rng import SplitMix64, derive_seed
 from biqa.scorer import (
     ScorerConfig,
@@ -228,33 +228,47 @@ def test_acceptance_04_logistic_recovery(capsys):
 # ---- 5. pseudo-label properties ----------------------------------------------
 
 
+def _all_ordered_pairs(ids, scores):
+    """build_pair_manifest over every ordered pair of ids, one model per
+    row of scores, with the per-model columns kept."""
+    table = [dict(zip(ids, row.tolist())) for row in scores]
+    provenance = [{"trained_on": f"m{j}", "digest": f"d{j}"} for j in range(len(table))]
+    n_pairs = len(ids) * (len(ids) - 1)
+    return build_pair_manifest("pool", ids, table, provenance, n_pairs, 5, keep_per_model=True)
+
+
 def test_acceptance_05_pseudolabel_properties(capsys):
+    # the labeller stage 2 runs, checked on its columns: each model's
+    # sigmoid(q_x - q_y) and their mean p_r, over every ordered pair
+    t0 = time.perf_counter()
     rng = SplitMix64(5)
-    qx = rng.normal_block(100_000) * 2.0
-    qy = rng.normal_block(100_000) * 2.0
+    ids = [f"img{i:03d}" for i in range(317)]
+    n = len(ids)
     ulp = float(np.spacing(1.0))
-    complement_ok = all(
-        abs(relative_prob(a, b) + relative_prob(b, a) - 1.0) <= ulp
-        for a, b in zip(qx, qy)
-    )
+    complement_ok = bounded_ok = oriented_ok = True
+    for k in range(1, 6):
+        q = rng.normal_block(k * n).reshape(k, n) * 2.0
+        man = _all_ordered_pairs(ids, q)
+        row = np.empty(n * n, dtype=np.intp)
+        row[man.x * n + man.y] = np.arange(man.n_pairs)
+        swapped = row[man.y * n + man.x]  # the row of (y, x) for each (x, y)
+        for col in (man.p_r, *man.per_model.T):
+            complement_ok &= bool(np.abs(col + col[swapped] - 1.0).max() <= ulp)
+        bounded_ok &= bool(((man.per_model.min(axis=1) <= man.p_r)
+                            & (man.p_r <= man.per_model.max(axis=1))).all())
+        for col, qj in zip(man.per_model.T, q):  # man.x and man.y index ids
+            oriented_ok &= bool((np.sign(col - 0.5) == np.sign(qj[man.x] - qj[man.y])).all())
 
-    bounded_ok = True
-    for _ in range(1000):
-        k = 1 + int(rng.next_u64_block(1)[0] % 5)
-        probs = (0.2689 + 0.4622 * rng.uniform_block(k)).tolist()
-        p = ensemble_pseudolabel(probs)
-        bounded_ok = bounded_ok and min(probs) <= p <= max(probs)
-
-    unit = rng.uniform_block(200_000)
-    lo, hi = 1.0, 0.0
-    for a, b in zip(unit[:100_000], unit[100_000:]):
-        p = relative_prob(a, b)
-        lo, hi = min(lo, p), max(hi, p)
+    unit = _all_ordered_pairs(ids, rng.uniform_block(n)[None, :])
+    lo, hi = float(unit.p_r.min()), float(unit.p_r.max())
     range_ok = lo >= 0.268941 and hi <= 0.731059
+    elapsed = time.perf_counter() - t0
 
-    ok = complement_ok and bounded_ok and range_ok
+    ok = complement_ok and bounded_ok and oriented_ok and range_ok
     _verdict(capsys, 5, "pseudo-label properties", ok,
-             f"complement within 1 ulp, unit-score range [{lo:.6f}, {hi:.6f}]")
+             f"K=1..5 over {n * (n - 1)} pairs: complement within 1 ulp {complement_ok}, "
+             f"mean within model bounds {bounded_ok}, orientation {oriented_ok}, "
+             f"unit-score range [{lo:.6f}, {hi:.6f}]; {elapsed:.2f}s")
 
 
 # ---- 6-9. the desk-scale reference experiment --------------------------------

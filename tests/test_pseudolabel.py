@@ -14,10 +14,8 @@ from biqa.pseudolabel import (
     PseudoLabelError,
     build_pair_manifest,
     central_crop_store,
-    ensemble_pseudolabel,
     generate_pair_manifest,
     load_pair_manifest,
-    relative_prob,
     sample_pairs,
     save_pair_manifest,
     score_pool,
@@ -32,42 +30,6 @@ from splitmix_oracle import ScalarSplitMix64, mix64
 
 
 _CFG = ScorerConfig(patch_size=8, channels_in=1, conv_channels=(2, 3), hidden=4)
-
-
-def test_relative_prob_values():
-    assert relative_prob(0.3, 0.3) == 0.5
-    assert relative_prob(1.0, 0.0) == pytest.approx(0.7310585786300049, abs=1e-15)
-    assert relative_prob(0.0, 1.0) == pytest.approx(0.2689414213699951, abs=1e-15)
-
-
-def test_relative_prob_complement_within_ulp():
-    rng = SplitMix64(7)
-    qx = rng.uniform_block(10_000) * 4 - 2
-    qy = rng.uniform_block(10_000) * 4 - 2
-    for x, y in zip(qx[:200], qy[:200]):
-        s = relative_prob(x, y) + relative_prob(y, x)
-        assert abs(s - 1.0) <= np.spacing(1.0)
-
-
-def test_relative_prob_bounds_for_unit_scores():
-    rng = ScalarSplitMix64(8)
-    lo, hi = 1.0, 0.0
-    for _ in range(500):
-        p = relative_prob(rng.uniform(), rng.uniform())
-        lo, hi = min(lo, p), max(hi, p)
-    assert lo >= 0.2689414213699951
-    assert hi <= 0.7310585786300049
-
-
-def test_ensemble_pseudolabel_mean_and_bounds():
-    assert ensemble_pseudolabel([0.3, 0.7]) == 0.5
-    probs = [0.31, 0.62, 0.44]
-    p = ensemble_pseudolabel(probs)
-    assert min(probs) <= p <= max(probs)
-    # exactly rounded sum makes the mean order-independent
-    assert ensemble_pseudolabel(probs[::-1]) == p
-    with pytest.raises(PseudoLabelError):
-        ensemble_pseudolabel([])
 
 
 def _member_params(seed):
@@ -221,8 +183,13 @@ def test_sample_pairs_validation():
 
 
 # Reference copies of the former per-pair code: the scalar Feistel draw in
-# Python integers and one relative_prob call per pair and model. The array
-# code must give the same pairs, the same floats and the same file bytes.
+# Python integers and one scalar sigmoid per pair and model. The array code
+# must give the same pairs, the same floats and the same file bytes.
+
+
+def _relative_prob(q_x, q_y):
+    """One model's label for one pair: sigmoid(q_x - q_y) on 0-d floats."""
+    return float(stable_sigmoid(np.float64(q_x) - np.float64(q_y)))
 
 
 def _reference_sample_pairs(image_ids, n_pairs, seed):
@@ -253,7 +220,7 @@ def _reference_build_pair_manifest(pool_name, image_ids, table, provenance,
                                    n_pairs, seed, keep_per_model=False):
     samples = []
     for x_id, y_id in _reference_sample_pairs(image_ids, n_pairs, seed):
-        per_model = tuple(relative_prob(q[x_id], q[y_id]) for q in table)
+        per_model = tuple(_relative_prob(q[x_id], q[y_id]) for q in table)
         samples.append(
             PairSample(
                 x_id=x_id,
@@ -317,8 +284,13 @@ def test_build_pair_manifest_bytes_equal_per_pair_reference(
         assert (tmp_path / f"got.{ext}").read_bytes() == (tmp_path / f"want.{ext}").read_bytes()
     if spreads[-1] >= 900.0:
         # the wide model's probabilities round to exactly 0 and 1 on some pairs
-        wide = {relative_prob(table[-1][s.x_id], table[-1][s.y_id]) for s in want.samples}
+        wide = {_relative_prob(table[-1][s.x_id], table[-1][s.y_id]) for s in want.samples}
         assert {0.0, 1.0} <= wide
+    # math.fsum's mean is exactly rounded, so p_r does not see the order of
+    # the models; on each three-model case here, a plain sum taken in the
+    # other order rounds some pairs differently
+    reverse = build_pair_manifest("pool", ids, table[::-1], prov[::-1], n_pairs, 11)
+    assert reverse.p_r.tobytes() == got.p_r.tobytes()
 
 
 @pytest.mark.parametrize("spreads", [(900.0,), (900.0, 900.0)])
@@ -334,6 +306,18 @@ def test_saturated_label_raises_as_per_pair_reference(spreads):
     assert str(got.value) == str(want.value)
 
 
+def test_relative_prob_values():
+    """One model's pinned relative probabilities, read off the p_r column."""
+    ids = ["a", "b", "c", "d"]
+    one = build_pair_manifest("pool", ids, [{"a": 1.0, "b": 0.0, "c": 0.3, "d": 0.3}],
+                              [{"trained_on": "s", "digest": "d"}], 12, 1, keep_per_model=True)
+    p = {(s.x_id, s.y_id): s.p_r for s in one.samples}
+    assert len(p) == 12 and one.per_model[:, 0].tolist() == one.p_r.tolist()
+    assert p["a", "b"] == pytest.approx(0.7310585786300049, abs=1e-15)
+    assert p["b", "a"] == pytest.approx(0.2689414213699951, abs=1e-15)
+    assert p["c", "d"] == p["d", "c"] == 0.5
+
+
 def test_build_pair_manifest_labels():
     ids = ["a", "b", "c"]
     table = [{"a": 0.9, "b": 0.1, "c": 0.5}, {"a": 0.2, "b": 0.8, "c": 0.5}]
@@ -342,11 +326,18 @@ def test_build_pair_manifest_labels():
                               keep_per_model=True)
     man.validate()
     for s in man.samples:
-        expect = [relative_prob(q[s.x_id], q[s.y_id]) for q in table]
+        expect = [_relative_prob(q[s.x_id], q[s.y_id]) for q in table]
         assert s.per_model == tuple(expect)
         assert s.p_r == pytest.approx(math.fsum(expect) / 2, abs=1e-15)
-    with pytest.raises(PseudoLabelError, match="lengths"):
-        build_pair_manifest("pool", ids, table, prov[:1], 4, 1)
+
+
+def test_build_pair_manifest_names_an_empty_or_mismatched_ensemble():
+    one, prov = [{"a": 0.9, "b": 0.1}], [{"trained_on": "s", "digest": "d"}]
+    with pytest.raises(PseudoLabelError, match="^no ensemble members$"):
+        build_pair_manifest("pool", ["a", "b"], [], [], 2, 1)
+    for table, provenance in ((one, []), ([], prov), (one, prov * 2)):
+        with pytest.raises(PseudoLabelError, match="^score table and provenance lengths differ$"):
+            build_pair_manifest("pool", ["a", "b"], table, provenance, 2, 1)
 
 
 def test_generate_pair_manifest_end_to_end():
