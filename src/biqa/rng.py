@@ -14,6 +14,10 @@ a documented number of raw outputs:
                         sqrt(-2 ln(1-u1)) * cos(2 pi u2)
     shuffle(seq)        n-1 outputs, Fisher-Yates from the top: the k-th
                         word w swaps seq[n-1-k] with seq[w mod (n-k)]
+    SplitMix64(seeds)   k streams in lockstep over an array of k seeds, one
+                        counter: each draw above but shuffle gives a
+                        (k, ...) block whose row j is SplitMix64(seeds[j])'s
+                        own draw, so each stream consumes what its row names
 """
 
 from __future__ import annotations
@@ -57,24 +61,30 @@ def derive_seed(seed: int, *labels: str | int) -> int:
 
 
 class SplitMix64:
-    """Counter-based splitmix64 stream drawn in blocks."""
+    """Counter-based splitmix64 stream drawn in blocks; given an array of
+    seeds, one stream per seed in lockstep, each draw one row per stream."""
 
-    def __init__(self, seed: int):
-        self.seed = int(seed) & MASK64
+    def __init__(self, seed: int | np.ndarray):
+        if np.ndim(seed) == 0:
+            self.seed = int(seed) & MASK64
+            self._origin = np.uint64(self.seed)
+        else:
+            self.seed = np.asarray(seed, dtype=np.uint64)
+            self._origin = self.seed[:, None]  # one row of counters per stream
         self.counter = 0
 
     def next_u64_block(self, n: int) -> np.ndarray:
         idx = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
         self.counter += n
         with np.errstate(over="ignore"):
-            return mix64_block(np.uint64(self.seed) + idx * np.uint64(GAMMA))
+            return mix64_block(self._origin + idx * np.uint64(GAMMA))
 
     def uniform_block(self, n: int) -> np.ndarray:
         return unit(self.next_u64_block(n))
 
     def normal_block(self, n: int) -> np.ndarray:
         u = self.uniform_block(2 * n)
-        return np.sqrt(-2.0 * np.log1p(-u[0::2])) * np.cos(2.0 * np.pi * u[1::2])
+        return np.sqrt(-2.0 * np.log1p(-u[..., 0::2])) * np.cos(2.0 * np.pi * u[..., 1::2])
 
     def shuffle(self, seq: list) -> None:
         n = len(seq)
@@ -84,7 +94,3 @@ class SplitMix64:
         for i, j in zip(range(n - 1, 0, -1), (self.next_u64_block(n - 1) % bounds).tolist()):
             seq[i], seq[j] = seq[j], seq[i]
 
-
-def spawn(seed: int, *labels: str | int) -> SplitMix64:
-    """Stream seeded by derive_seed(seed, *labels)."""
-    return SplitMix64(derive_seed(seed, *labels))

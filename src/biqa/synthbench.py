@@ -19,7 +19,7 @@ from .config import decode
 from .dataset import (DatasetManifest, ImageRecord, finite_float, read_csv,
                       render_csv, write_manifest_csv)
 from .png_io import write_atomic, write_png
-from .rng import SplitMix64, derive_seed, spawn, unit
+from .rng import SplitMix64, derive_seed, unit
 
 KINDS = ("gaussian_blur", "additive_noise", "contrast_reduction")
 
@@ -27,21 +27,18 @@ BLUR_SIGMA_SCALE = 4.0
 NOISE_STD_SCALE = 0.3
 CONTRAST_SHRINK_SCALE = 0.8
 
+MIN_IMAGE_SIZE = 8
+# magnitudes are below 1, so the widest blur kernel has radius
+# ceil(3 * BLUR_SIGMA_SCALE) = 12, and reflect padding needs a longer side
+MIN_BLUR_IMAGE_SIZE = int(np.ceil(3.0 * BLUR_SIGMA_SCALE)) + 1
+# images built at a time, chosen by peak memory: the chunk's temporaries
+# fragment the heap under the images kept, and in perfbench's label workload
+# 32 added about 0.5 MB to the peak where 16 added about 0.9 MB
+GEN_BATCH = 32
+
 
 class SynthError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class DegradationSpec:
-    kind: str
-    magnitude: float
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise SynthError(f"unknown degradation kind {self.kind!r}")
-        if not 0.0 <= self.magnitude <= 1.0:
-            raise SynthError(f"magnitude must be in [0, 1], got {self.magnitude}")
 
 
 def _remap_identity(q):
@@ -91,6 +88,13 @@ class BiasedDatasetConfig:
             raise SynthError(f"{self.name}: unknown label remap {self.label_remap!r}")
         if self.n_images < 2:
             raise SynthError(f"{self.name}: need at least 2 images")
+        if self.image_size < MIN_IMAGE_SIZE:
+            raise SynthError(f"{self.name}: image_size must be at least "
+                             f"{MIN_IMAGE_SIZE}, got {self.image_size}")
+        if "gaussian_blur" in self.allowed_kinds and self.image_size < MIN_BLUR_IMAGE_SIZE:
+            raise SynthError(f"{self.name}: image_size must be at least "
+                             f"{MIN_BLUR_IMAGE_SIZE} when gaussian_blur is allowed, "
+                             f"got {self.image_size}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -107,38 +111,44 @@ class GroundTruth:
     qstar: dict[str, float] = field(default_factory=dict)
 
 
-def gen_base_image(size: int, seed: int) -> ImageRecord:
-    """Procedural grayscale texture, normalized to span [0, 1] exactly.
+def _base_textures(size: int, seeds: list[int]) -> np.ndarray:
+    """Procedural grayscale textures, one (size, size) row per seed, each
+    normalized to span [0, 1] exactly.
 
     Three sinusoid gratings with random frequency, orientation, phase and
-    amplitude, plus per-pixel uniform value noise at amplitude 0.05. The
-    stream gives one block of 12 uniforms, 4 per grating in the order
-    frequency, orientation, phase, amplitude, then the size*size noise
-    block.
+    amplitude, plus per-pixel uniform value noise at amplitude 0.05. Each
+    seed's stream gives one block of 12 uniforms, 4 per grating in the
+    order frequency, orientation, phase, amplitude, then the size*size
+    noise block; the streams are drawn in lockstep.
     """
-    if size < 8:
-        raise SynthError(f"image size must be >= 8, got {size}")
-    rng = SplitMix64(seed)
-    yy, xx = np.meshgrid(
-        np.arange(size, dtype=np.float64),
-        np.arange(size, dtype=np.float64),
-        indexing="ij",
-    )
-    img = np.zeros((size, size), dtype=np.float64)
-    for u_freq, u_theta, u_phase, u_amp in rng.uniform_block(12).reshape(3, 4).tolist():
-        freq = 1.0 + 5.0 * u_freq
-        theta = np.pi * u_theta
-        phase = 2.0 * np.pi * u_phase
-        amp = 0.5 + 0.5 * u_amp
-        axis = xx * np.cos(theta) + yy * np.sin(theta)
-        img += amp * np.sin(2.0 * np.pi * freq * axis / size + phase)
-    img += 0.05 * (2.0 * rng.uniform_block(size * size).reshape(size, size) - 1.0)
-    lo, hi = img.min(), img.max()
-    if hi - lo < 1e-12:
-        img = np.zeros_like(img)
-    else:
-        img = (img - lo) / (hi - lo)
-    return ImageRecord(id=f"base{seed:016x}", pixels=img[:, :, None])
+    rng = SplitMix64(seeds)
+    u = rng.uniform_block(12).reshape(-1, 3, 4, 1, 1)
+    freq = 1.0 + 5.0 * u[:, :, 0]
+    theta = np.pi * u[:, :, 1]
+    phase = 2.0 * np.pi * u[:, :, 2]
+    amp = 0.5 + 0.5 * u[:, :, 3]
+    grid = np.arange(size, dtype=np.float64)
+    img = np.zeros((len(seeds), size, size), dtype=np.float64)
+    for g in range(3):
+        # amp * sin(2 pi freq axis / size + phase), each pixel's ops in the
+        # order above, done in place so the chunk holds one temporary array
+        wave = grid * np.cos(theta[:, g]) + grid[:, None] * np.sin(theta[:, g])
+        wave *= 2.0 * np.pi * freq[:, g]
+        wave /= size
+        wave += phase[:, g]
+        np.sin(wave, out=wave)
+        wave *= amp[:, g]
+        img += wave
+    noise = rng.uniform_block(size * size).reshape(img.shape)  # 0.05 * (2u - 1)
+    noise *= 2.0
+    noise -= 1.0
+    noise *= 0.05
+    img += noise
+    lo = img.min(axis=(1, 2), keepdims=True)
+    span = img.max(axis=(1, 2), keepdims=True) - lo
+    img -= lo
+    img /= np.where(span < 1e-12, np.inf, span)  # a flat texture becomes all zeros
+    return img
 
 
 def _gaussian_kernel(sigma: float) -> np.ndarray:
@@ -153,10 +163,6 @@ def _blur(pixels: np.ndarray, sigma: float) -> np.ndarray:
     radius = (len(taps) - 1) // 2
     out = pixels
     for axis in (0, 1):
-        if pixels.shape[axis] <= radius:
-            raise SynthError(
-                f"image side {pixels.shape[axis]} too small for blur radius {radius}"
-            )
         pad = [(0, 0)] * out.ndim
         pad[axis] = (radius, radius)
         padded = np.pad(out, pad, mode="reflect")
@@ -169,31 +175,30 @@ def _blur(pixels: np.ndarray, sigma: float) -> np.ndarray:
     return out
 
 
-def apply_degradation(
-    record: ImageRecord, spec: DegradationSpec, rng: SplitMix64 | None = None
-) -> ImageRecord:
-    """Apply one distortion at the spec's magnitude.
+def _degrade(pixels: np.ndarray, kinds: np.ndarray, magnitudes: np.ndarray,
+             stream: SplitMix64) -> None:
+    """Apply each image's distortion, in place, to a (k, size, size) chunk.
 
-    gaussian_blur: separable Gaussian, sigma = 4*m, kernel cut at 3 sigma,
-    reflect padding. additive_noise: i.i.d. Gaussian, std = 0.3*m, then
-    clamp to [0, 1]; requires an explicit rng stream so the operation
-    stays a pure function of its inputs. contrast_reduction:
-    p <- 0.5 + (1 - 0.8*m)*(p - 0.5). Magnitude 0 returns the input
-    pixels unchanged for every kind.
+    kinds and magnitudes hold one entry per image; stream is the chunk's
+    image streams, each just past its 2-word block. gaussian_blur:
+    separable Gaussian, sigma = 4*m, kernel cut at 3 sigma, reflect
+    padding, one image at a time. additive_noise: i.i.d. Gaussian,
+    std = 0.3*m, from the image's stream words 3 ... 2 + 2*size*size, then
+    clamp to [0, 1]. contrast_reduction: p <- 0.5 + (1 - 0.8*m)*(p - 0.5).
+    Magnitude 0 leaves an image unchanged and draws nothing, for every kind.
     """
-    m = spec.magnitude
-    if m == 0.0:
-        return ImageRecord(id=record.id, pixels=record.pixels.copy())
-    if spec.kind == "gaussian_blur":
-        out = _blur(record.pixels, BLUR_SIGMA_SCALE * m)
-    elif spec.kind == "additive_noise":
-        if rng is None:
-            raise SynthError("additive_noise requires an rng stream")
-        noise = NOISE_STD_SCALE * m * rng.normal_block(record.pixels.size)
-        out = np.clip(record.pixels + noise.reshape(record.pixels.shape), 0.0, 1.0)
-    else:  # contrast_reduction, the one kind left that DegradationSpec admits
-        out = 0.5 + (1.0 - CONTRAST_SHRINK_SCALE * m) * (record.pixels - 0.5)
-    return ImageRecord(id=record.id, pixels=out)
+    live = magnitudes > 0.0
+    for j in np.flatnonzero(live & (kinds == "gaussian_blur")):
+        pixels[j] = _blur(pixels[j], BLUR_SIGMA_SCALE * magnitudes[j])
+    noisy = live & (kinds == "additive_noise")
+    noise = SplitMix64(stream.seed[noisy])
+    noise.counter = stream.counter
+    m = magnitudes[noisy, None, None]
+    z = noise.normal_block(pixels[0].size).reshape(m.shape[0], *pixels.shape[1:])
+    pixels[noisy] = np.clip(pixels[noisy] + NOISE_STD_SCALE * m * z, 0.0, 1.0)
+    shrunk = live & (kinds == "contrast_reduction")
+    m = magnitudes[shrunk, None, None]
+    pixels[shrunk] = 0.5 + (1.0 - CONTRAST_SHRINK_SCALE * m) * (pixels[shrunk] - 0.5)
 
 
 def gen_biased_dataset(
@@ -203,10 +208,12 @@ def gen_biased_dataset(
 
     Writes `<name>/NNNN.png` images, a `<name>.csv` manifest and a sibling
     `<name>.truth.csv` with header `id,qstar`. Per image i the stream
-    spawn(seed, "img", i) gives a 2-word block, magnitude = unit(word 0)
-    and kind = allowed_kinds[word 1 mod len(allowed_kinds)], then the
-    noise block when the kind needs one; the base texture seed is
-    derive_seed(seed, "base", i).
+    SplitMix64(derive_seed(seed, "img", i)) gives a 2-word block,
+    magnitude = unit(word 0) and kind = allowed_kinds[word 1 mod
+    len(allowed_kinds)], then the noise block when the kind needs one; the
+    base texture seed is derive_seed(seed, "base", i). Images are built
+    GEN_BATCH at a time, each chunk's streams drawn in lockstep, so every
+    image's streams, and so its pixels, are those it would have alone.
     """
     img_dir = os.path.join(out_dir, config.name)
     os.makedirs(img_dir, exist_ok=True)
@@ -215,27 +222,26 @@ def gen_biased_dataset(
     truth = GroundTruth()
     rows = []
     remap = REMAPS[config.label_remap]
-    for i in range(config.n_images):
-        rid = f"{config.name}_{i:04d}"
-        stream = spawn(config.seed, "img", i)
+    kinds = np.array(config.allowed_kinds)
+    for lo in range(0, config.n_images, GEN_BATCH):
+        chunk = range(lo, min(lo + GEN_BATCH, config.n_images))
+        stream = SplitMix64([derive_seed(config.seed, "img", i) for i in chunk])
         words = stream.next_u64_block(2)
-        magnitude = float(unit(words[0]))
-        kind = config.allowed_kinds[int(words[1] % len(config.allowed_kinds))]
-        base = gen_base_image(config.image_size, derive_seed(config.seed, "base", i))
-        degraded = apply_degradation(
-            ImageRecord(id=rid, pixels=base.pixels),
-            DegradationSpec(kind=kind, magnitude=magnitude),
-            rng=stream,
-        )
-        rel_path = os.path.join(config.name, f"{i:04d}.png")
-        # the in-memory record holds what a read of the PNG yields
-        stored = write_png(os.path.join(out_dir, rel_path), degraded.pixels)
-        qstar = 1.0 - magnitude
-        label = float(remap(qstar))
-        records.append(ImageRecord(id=rid, pixels=stored))
-        labels[rid] = label
-        truth.qstar[rid] = qstar
-        rows.append((rid, rel_path, label))
+        magnitudes = unit(words[:, 0])
+        pixels = _base_textures(config.image_size,
+                                [derive_seed(config.seed, "base", i) for i in chunk])
+        _degrade(pixels, kinds[words[:, 1] % len(kinds)], magnitudes, stream)
+        for i, image, magnitude in zip(chunk, pixels, magnitudes.tolist()):
+            rid = f"{config.name}_{i:04d}"
+            rel_path = os.path.join(config.name, f"{i:04d}.png")
+            # the in-memory record holds what a read of the PNG yields
+            stored = write_png(os.path.join(out_dir, rel_path), image[:, :, None])
+            qstar = 1.0 - magnitude
+            label = float(remap(qstar))
+            records.append(ImageRecord(id=rid, pixels=stored))
+            labels[rid] = label
+            truth.qstar[rid] = qstar
+            rows.append((rid, rel_path, label))
     write_manifest_csv(os.path.join(out_dir, f"{config.name}.csv"), rows)
     text = render_csv(("id", "qstar"), (truth.qstar, truth.qstar.values()), SynthError)
     write_atomic(os.path.join(out_dir, f"{config.name}.truth.csv"), text)

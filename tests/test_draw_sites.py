@@ -9,11 +9,14 @@ from biqa.dataset import DatasetManifest, ImageRecord, sample_patches, split_dat
 from biqa.png_io import write_png
 from biqa.rng import SplitMix64, derive_seed
 from biqa.synthbench import (
+    BLUR_SIGMA_SCALE,
+    CONTRAST_SHRINK_SCALE,
+    GEN_BATCH,
     KINDS,
+    NOISE_STD_SCALE,
     BiasedDatasetConfig,
-    DegradationSpec,
-    apply_degradation,
-    gen_base_image,
+    _base_textures,
+    _blur,
     gen_biased_dataset,
 )
 
@@ -34,7 +37,7 @@ def _oracle_sample_patches(record, n, size, allow_flip, rng):
 
 
 def _oracle_base_pixels(size, rng):
-    """gen_base_image's pixels drawn word by word."""
+    """One base texture's pixels drawn word by word."""
     yy, xx = np.meshgrid(
         np.arange(size, dtype=np.float64),
         np.arange(size, dtype=np.float64),
@@ -54,18 +57,22 @@ def _oracle_base_pixels(size, rng):
     return ((img - lo) / (hi - lo))[:, :, None]
 
 
-class _ScalarNormals:
-    """Hands apply_degradation the oracle's normals, one word pair each."""
-
-    def __init__(self, rng: ScalarSplitMix64):
-        self.rng = rng
-
-    def normal_block(self, n: int) -> np.ndarray:
-        return np.array([self.rng.normal() for _ in range(n)])
+def _oracle_degrade(pixels, kind, magnitude, rng):
+    """One image's distortion, its noise drawn one word pair per normal.
+    The blur is the generator's own: it runs one image at a time there too."""
+    if magnitude == 0.0:
+        return pixels
+    if kind == "gaussian_blur":
+        return _blur(pixels, BLUR_SIGMA_SCALE * magnitude)
+    if kind == "additive_noise":
+        z = np.array([rng.normal() for _ in range(pixels.size)]).reshape(pixels.shape)
+        return np.clip(pixels + NOISE_STD_SCALE * magnitude * z, 0.0, 1.0)
+    return 0.5 + (1.0 - CONTRAST_SHRINK_SCALE * magnitude) * (pixels - 0.5)
 
 
 def _recording(monkeypatch, module) -> list[SplitMix64]:
-    """Every SplitMix64 that module makes (directly or by spawn), in order."""
+    """Every SplitMix64 that module makes, in order; a lockstep stream is
+    recorded once, with its array of seeds."""
     made = []
 
     class Recorded(SplitMix64):
@@ -74,9 +81,13 @@ def _recording(monkeypatch, module) -> list[SplitMix64]:
             made.append(self)
 
     monkeypatch.setattr(module, "SplitMix64", Recorded)
-    if hasattr(module, "spawn"):
-        monkeypatch.setattr(module, "spawn", lambda seed, *labels: Recorded(derive_seed(seed, *labels)))
     return made
+
+
+def _stream_ends(made: list[SplitMix64]) -> dict[int, int]:
+    """Each seed's stream position after the last recorded stream holding it."""
+    return {seed: stream.counter for stream in made
+            for seed in np.atleast_1d(stream.seed).tolist()}
 
 
 def _record(h, w, seed=0, channels=1):
@@ -114,36 +125,55 @@ def test_split_dataset_matches_oracle(monkeypatch, n):
 @pytest.mark.parametrize("size", [8, 13, 16])
 def test_gen_base_image_matches_oracle(monkeypatch, size):
     made = _recording(monkeypatch, synthbench)
-    for k in range(20):
-        seed = derive_seed(k, "base")
+    seeds = [derive_seed(k, "base") for k in range(20)]
+    pixels = _base_textures(size, seeds)
+    for seed, row in zip(seeds, pixels, strict=True):
         oracle = ScalarSplitMix64(seed)
-        expected = _oracle_base_pixels(size, oracle)
-        assert np.array_equal(gen_base_image(size, seed).pixels, expected)
+        assert np.array_equal(row[:, :, None], _oracle_base_pixels(size, oracle))
         assert made[-1].counter == oracle.counter
+
+
+def _assert_matches_oracle(config, tmp_path, monkeypatch) -> set[str]:
+    """Every record, PNG file, q* and stream end of config's dataset against
+    the scalar oracle; returns the kinds drawn."""
+    made = _recording(monkeypatch, synthbench)
+    manifest, truth = gen_biased_dataset(config, str(tmp_path / "block"))
+    ends = _stream_ends(made)
+    assert len(manifest.records) == config.n_images
+    kinds = set()
+    for i, rec in enumerate(manifest.records):
+        oracle = ScalarSplitMix64(derive_seed(config.seed, "img", i))
+        magnitude = oracle.uniform()
+        kind = config.allowed_kinds[oracle.randbelow(len(config.allowed_kinds))]
+        kinds.add(kind)
+        base_rng = ScalarSplitMix64(derive_seed(config.seed, "base", i))
+        base = _oracle_base_pixels(config.image_size, base_rng)
+        path = tmp_path / f"oracle{i}.png"
+        stored = write_png(str(path), _oracle_degrade(base, kind, magnitude, oracle))
+        assert rec.id == f"{config.name}_{i:04d}"
+        assert np.array_equal(rec.pixels, stored)
+        written = tmp_path / "block" / config.name / f"{i:04d}.png"
+        assert written.read_bytes() == path.read_bytes()
+        assert truth.qstar[rec.id] == 1.0 - magnitude
+        assert ends[oracle.seed] == oracle.counter
+        assert ends[base_rng.seed] == base_rng.counter
+    return kinds
 
 
 @pytest.mark.parametrize("allowed_kinds", [KINDS, ("contrast_reduction", "additive_noise")])
 def test_gen_biased_dataset_matches_oracle(tmp_path, monkeypatch, allowed_kinds):
     config = BiasedDatasetConfig(name="o", n_images=24, allowed_kinds=allowed_kinds,
                                  label_remap="sqrt", seed=derive_seed(5, "o"), image_size=16)
-    made = _recording(monkeypatch, synthbench)
-    manifest, truth = gen_biased_dataset(config, str(tmp_path / "block"))
-    streams = [s for s in made if s.seed in
-               {derive_seed(config.seed, "img", i) for i in range(config.n_images)}]
-    kinds = set()
-    for i, (rec, stream) in enumerate(zip(manifest.records, streams, strict=True)):
-        oracle = ScalarSplitMix64(derive_seed(config.seed, "img", i))
-        magnitude = oracle.uniform()
-        kind = allowed_kinds[oracle.randbelow(len(allowed_kinds))]
-        kinds.add(kind)
-        base = _oracle_base_pixels(16, ScalarSplitMix64(derive_seed(config.seed, "base", i)))
-        degraded = apply_degradation(ImageRecord(id=rec.id, pixels=base),
-                                     DegradationSpec(kind, magnitude), rng=_ScalarNormals(oracle))
-        stored = write_png(str(tmp_path / f"oracle{i}.png"), degraded.pixels)
-        assert np.array_equal(rec.pixels, stored)
-        assert truth.qstar[rec.id] == 1.0 - magnitude
-        assert stream.counter == oracle.counter
-    assert kinds == set(allowed_kinds)
+    assert _assert_matches_oracle(config, tmp_path, monkeypatch) == set(allowed_kinds)
+
+
+@pytest.mark.parametrize("n_images", [GEN_BATCH - 1, GEN_BATCH, 2 * GEN_BATCH + 1])
+def test_gen_biased_dataset_chunks_match_oracle(tmp_path, monkeypatch, n_images):
+    """A partial chunk, one whole chunk, and a last chunk of one image."""
+    config = BiasedDatasetConfig(name="c", n_images=n_images, allowed_kinds=KINDS,
+                                 label_remap="identity", seed=derive_seed(n_images, "c"),
+                                 image_size=13)
+    assert _assert_matches_oracle(config, tmp_path, monkeypatch) == set(KINDS)
 
 
 def test_stream_positions(tmp_path, monkeypatch):
@@ -162,26 +192,31 @@ def test_stream_positions(tmp_path, monkeypatch):
         assert rng.counter == max(n - 1, 0)
 
     made = _recording(monkeypatch, synthbench)
-    gen_base_image(11, 3)
+    _base_textures(11, [3, 4])
     assert made[-1].counter == 12 + 11 * 11
 
     # each image stream: the 2-word block, then the noise block if any
     at_degrade = []
-    real = synthbench.apply_degradation
+    real = synthbench._degrade
 
-    def spy(record, spec, rng=None):
-        at_degrade.append((spec, rng.counter))
-        return real(record, spec, rng)
+    def spy(pixels, kinds, magnitudes, stream):
+        at_degrade.append(
+            (stream.seed.tolist(), kinds.tolist(), magnitudes.tolist(), stream.counter))
+        return real(pixels, kinds, magnitudes, stream)
 
-    monkeypatch.setattr(synthbench, "apply_degradation", spy)
-    config = BiasedDatasetConfig(name="p", n_images=12, allowed_kinds=KINDS,
-                                 label_remap="identity", seed=7, image_size=12)
+    monkeypatch.setattr(synthbench, "_degrade", spy)
+    n, size = GEN_BATCH + 4, 13
+    config = BiasedDatasetConfig(name="p", n_images=n, allowed_kinds=KINDS,
+                                 label_remap="identity", seed=7, image_size=size)
     made.clear()
     gen_biased_dataset(config, str(tmp_path))
-    streams = made[0::2]  # each image makes its own stream, then its base image's
-    assert len(streams) == len(at_degrade) == 12
-    assert {spec.kind for spec, _ in at_degrade} == set(KINDS)
-    for stream, (spec, before) in zip(streams, at_degrade):
-        assert before == 2
-        noisy = spec.kind == "additive_noise" and spec.magnitude > 0.0
-        assert stream.counter == 2 + (2 * 12 * 12 if noisy else 0)
+    assert [before for *_, before in at_degrade] == [2, 2]
+    images = [image for *chunk, _ in at_degrade for image in zip(*chunk, strict=True)]
+    assert {kind for _, kind, _ in images} == set(KINDS)
+    ends = _stream_ends(made)
+    assert len(ends) == 2 * n  # every stream made is an image's or a base texture's
+    for i, (seed, kind, magnitude) in enumerate(images):
+        assert seed == derive_seed(config.seed, "img", i)
+        noisy = kind == "additive_noise" and magnitude > 0.0
+        assert ends[seed] == 2 + (2 * size * size if noisy else 0)
+        assert ends[derive_seed(config.seed, "base", i)] == 12 + size * size

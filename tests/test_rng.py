@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from biqa.rng import GAMMA, MASK64, SplitMix64, derive_seed, mix64_block, spawn, unit
+from biqa.rng import GAMMA, MASK64, SplitMix64, derive_seed, mix64_block, unit
 
 from splitmix_oracle import ScalarSplitMix64, mix64
 
@@ -148,9 +148,19 @@ def test_derive_seed_int_labels():
     assert derive_seed(1, 2, 3) == derive_seed(1, "2", "3")
 
 
-def test_spawn_equivalent_to_derive():
-    first = SplitMix64(derive_seed(9, "x")).next_u64_block(1).tolist()
-    assert spawn(9, "x").next_u64_block(1).tolist() == first
+@pytest.mark.parametrize("seeds", [[0, 99, MASK64, 2**63, 99], [41], []])
+def test_lockstep_rows_are_single_streams(seeds):
+    lock = SplitMix64(seeds)
+    oracles = [ScalarSplitMix64(seed) for seed in seeds]
+    blocks = [lock.next_u64_block(3), lock.uniform_block(5), lock.normal_block(4),
+              lock.next_u64_block(1)]
+    assert [b.shape for b in blocks] == [(len(seeds), n) for n in (3, 5, 4, 1)]
+    for row, oracle in enumerate(oracles):
+        assert blocks[0][row].tolist() == [oracle.next_u64() for _ in range(3)]
+        assert blocks[1][row].tolist() == [oracle.uniform() for _ in range(5)]
+        assert blocks[2][row].tolist() == [oracle.normal() for _ in range(4)]
+        assert blocks[3][row].tolist() == [oracle.next_u64()]
+        assert oracle.counter == lock.counter == 3 + 5 + 8 + 1
 
 
 def test_gamma_is_odd():

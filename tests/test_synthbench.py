@@ -3,94 +3,107 @@ import os
 import numpy as np
 import pytest
 
-from biqa.dataset import ImageRecord, load_manifest
+from biqa.dataset import load_manifest
 from biqa.rng import SplitMix64, derive_seed
 from biqa.synthbench import (
     KINDS,
     REMAPS,
     BiasedDatasetConfig,
-    DegradationSpec,
     SynthError,
-    apply_degradation,
-    gen_base_image,
+    _base_textures,
+    _degrade,
     gen_biased_dataset,
     load_ground_truth,
 )
 
 
+def _degraded(pixels, kind, magnitude, seed=0):
+    """One (H, W) image after its distortion, through the chunk path with
+    a one-image chunk whose stream sits past its 2-word block."""
+    chunk = pixels[None].copy()
+    stream = SplitMix64([seed])
+    stream.next_u64_block(2)
+    _degrade(chunk, np.array([kind]), np.array([magnitude]), stream)
+    return chunk[0]
+
+
 def test_base_image_deterministic_and_normalized():
-    a = gen_base_image(32, 7)
-    b = gen_base_image(32, 7)
-    assert np.array_equal(a.pixels, b.pixels)
-    assert a.pixels.shape == (32, 32, 1)
-    assert a.pixels.min() == 0.0 and a.pixels.max() == 1.0
+    a = _base_textures(32, [7, 7, 8])
+    assert a.shape == (3, 32, 32)
+    assert np.array_equal(a[0], a[1])
+    assert (a.min(axis=(1, 2)) == 0.0).all() and (a.max(axis=(1, 2)) == 1.0).all()
 
 
 def test_base_image_varies_with_seed():
-    assert not np.array_equal(gen_base_image(16, 1).pixels, gen_base_image(16, 2).pixels)
+    a = _base_textures(16, [1, 2])
+    assert not np.array_equal(a[0], a[1])
 
 
 def test_base_image_rejects_tiny():
-    with pytest.raises(SynthError):
-        gen_base_image(4, 0)
+    with pytest.raises(SynthError, match="image_size must be at least 8, got 7"):
+        _tiny_config(allowed_kinds=("contrast_reduction",), image_size=7)
+    _tiny_config(allowed_kinds=("contrast_reduction", "additive_noise"), image_size=8)
 
 
-def test_degradation_spec_validation():
-    with pytest.raises(SynthError):
-        DegradationSpec(kind="jpeg", magnitude=0.5)
-    with pytest.raises(SynthError):
-        DegradationSpec(kind="gaussian_blur", magnitude=1.5)
+def test_config_refuses_sizes_the_blur_cannot_pad():
+    # m < 1 gives a blur radius of at most ceil(3 * 4 * m) = 12
+    with pytest.raises(SynthError, match="at least 13 when gaussian_blur is allowed, got 12"):
+        _tiny_config(allowed_kinds=("gaussian_blur",), image_size=12)
+    with pytest.raises(SynthError, match="at least 13 when gaussian_blur"):
+        BiasedDatasetConfig.from_dict(_tiny_config(image_size=13).to_dict() | {"image_size": 12})
+    _tiny_config(allowed_kinds=("gaussian_blur",), image_size=13)
+
+
+def test_config_refuses_an_unknown_kind():
+    with pytest.raises(SynthError, match="unknown kind 'jpeg'"):
+        _tiny_config(allowed_kinds=("gaussian_blur", "jpeg"))
 
 
 def test_magnitude_zero_is_identity():
-    rec = gen_base_image(24, 3)
+    base = _base_textures(24, [3])[0]
     for kind in KINDS:
-        out = apply_degradation(rec, DegradationSpec(kind, 0.0), rng=SplitMix64(0))
-        assert np.array_equal(out.pixels, rec.pixels)
+        assert np.array_equal(_degraded(base, kind, 0.0), base)
 
 
 def test_blur_smooths_monotonically():
-    rec = gen_base_image(48, 5)
+    base = _base_textures(48, [5])[0]
 
     def roughness(px):
-        return np.abs(np.diff(px[:, :, 0], axis=1)).mean()
+        return np.abs(np.diff(px, axis=1)).mean()
 
-    r0 = roughness(rec.pixels)
-    r_half = roughness(apply_degradation(rec, DegradationSpec("gaussian_blur", 0.5)).pixels)
-    r_full = roughness(apply_degradation(rec, DegradationSpec("gaussian_blur", 1.0)).pixels)
+    r0 = roughness(base)
+    r_half = roughness(_degraded(base, "gaussian_blur", 0.5))
+    r_full = roughness(_degraded(base, "gaussian_blur", 1.0))
     assert r0 > r_half > r_full
 
 
 def test_blur_preserves_mean_roughly():
-    rec = gen_base_image(48, 6)
-    out = apply_degradation(rec, DegradationSpec("gaussian_blur", 0.7))
+    base = _base_textures(48, [6])[0]
+    out = _degraded(base, "gaussian_blur", 0.7)
     # reflect padding keeps the DC component nearly intact
-    assert abs(out.pixels.mean() - rec.pixels.mean()) < 5e-3
+    assert abs(out.mean() - base.mean()) < 5e-3
 
 
-def test_noise_requires_rng_and_matches_std():
-    rec = ImageRecord(id="flat", pixels=np.full((64, 64, 1), 0.5))
-    with pytest.raises(SynthError, match="rng"):
-        apply_degradation(rec, DegradationSpec("additive_noise", 0.5))
-    out = apply_degradation(rec, DegradationSpec("additive_noise", 0.5), rng=SplitMix64(1))
+def test_noise_matches_std():
+    out = _degraded(np.full((64, 64), 0.5), "additive_noise", 0.5, seed=1)
     # std = 0.3 * 0.5 = 0.15, far from the clamp at 0.5 offset, so the
     # empirical std should land close
-    assert abs(out.pixels.std() - 0.15) < 0.01
-    assert out.pixels.min() >= 0.0 and out.pixels.max() <= 1.0
+    assert abs(out.std() - 0.15) < 0.01
+    assert out.min() >= 0.0 and out.max() <= 1.0
 
 
 def test_noise_deterministic_given_stream():
-    rec = gen_base_image(16, 2)
-    a = apply_degradation(rec, DegradationSpec("additive_noise", 0.3), rng=SplitMix64(9))
-    b = apply_degradation(rec, DegradationSpec("additive_noise", 0.3), rng=SplitMix64(9))
-    assert np.array_equal(a.pixels, b.pixels)
+    base = _base_textures(16, [2])[0]
+    a = _degraded(base, "additive_noise", 0.3, seed=9)
+    assert np.array_equal(a, _degraded(base, "additive_noise", 0.3, seed=9))
+    assert not np.array_equal(a, _degraded(base, "additive_noise", 0.3, seed=10))
 
 
 def test_contrast_shrinks_toward_half():
-    rec = gen_base_image(16, 4)
-    out = apply_degradation(rec, DegradationSpec("contrast_reduction", 1.0))
-    expected = 0.5 + 0.2 * (rec.pixels - 0.5)
-    assert np.allclose(out.pixels, expected, atol=1e-15)
+    base = _base_textures(16, [4])[0]
+    out = _degraded(base, "contrast_reduction", 1.0)
+    expected = 0.5 + 0.2 * (base - 0.5)
+    assert np.allclose(out, expected, atol=1e-15)
 
 
 def test_remaps_strictly_monotone():
@@ -152,10 +165,10 @@ def test_gen_dataset_respects_allowed_kinds(tmp_path):
     config = _tiny_config(name="bl", allowed_kinds=("gaussian_blur",), n_images=6)
     manifest, truth = gen_biased_dataset(config, str(tmp_path))
     for i, rec in enumerate(manifest.records):
-        base = gen_base_image(16, derive_seed(config.seed, "base", i))
+        base = _base_textures(16, [derive_seed(config.seed, "base", i)])[0]
         if truth.qstar[rec.id] < 0.95:
             rough_rec = np.abs(np.diff(rec.pixels[:, :, 0], axis=1)).mean()
-            rough_base = np.abs(np.diff(base.pixels[:, :, 0], axis=1)).mean()
+            rough_base = np.abs(np.diff(base, axis=1)).mean()
             assert rough_rec < rough_base
 
 
