@@ -6,7 +6,8 @@ ensemble, train a final scorer on those pairs, then evaluate everything on
 every dataset (against ground truth and against each dataset's own biased
 labels), plus pair-count and ensemble-composition ablations.
 
-Every stage runs through ExperimentRunner._stage. Models and pair
+Every stage runs through ExperimentRunner._stage and its run_* returns
+what the stage loaded; later stages call it again. Models and pair
 manifests are content-addressed (the first 12 hex chars of the file's
 sha256 appear in its name); data files and reports have fixed names.
 Every artifact's hash is recorded in state.json per stage together with
@@ -154,6 +155,10 @@ class ExperimentConfig:
         for subset in self.ensemble_subsets:
             if not subset or any(n not in names for n in subset):
                 raise HarnessError(f"bad ensemble subset {subset!r}")
+            if subset != [n for n in names if n in subset]:
+                # its labels would equal those of its members listed once, in order
+                raise HarnessError(f"ensemble subset {subset!r} must list each dataset "
+                                   "once, in datasets order")
         if self.scorer.channels_in != 1:
             raise HarnessError("synthetic images are grayscale; channels_in must be 1")
         sizes = {d.image_size for d in self.datasets} | {self.pool.image_size}
@@ -368,14 +373,6 @@ class ExperimentRunner:
             os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
         self.state = ExperimentState.load(out_dir)
         save_config(config, os.path.join(out_dir, "config.json"))
-        self.manifests: dict[str, DatasetManifest] = {}
-        # fixed evaluation crop of every image in every dataset and the pool
-        self.crops: dict[str, np.ndarray] = {}
-        # every dataset's records labelled with their ground truth q*
-        self.qstar_sets: list[DatasetManifest] = []
-        self.s1_models: dict[str, dict] = {}
-        self.pair_entries: dict[str, dict] = {}
-        self.cdr_models: dict[str, dict] = {}
         self._memo: dict[str, object] = {}
 
     # ---- helpers -------------------------------------------------------
@@ -446,7 +443,7 @@ class ExperimentRunner:
 
     # ---- stages --------------------------------------------------------
 
-    def run_data(self) -> None:
+    def run_data(self) -> tuple[dict, dict, list]:
         all_configs = list(self.config.datasets) + [self.config.pool]
         data_dir = os.path.join(self.out_dir, "data")
 
@@ -463,29 +460,29 @@ class ExperimentRunner:
                     for c in all_configs
                     for label, rel in (*_data_files(c.name), ("images", c.name))}
 
-        def load(_outputs: dict) -> None:
+        def load(_outputs: dict) -> tuple:
+            manifests, crops, qstar_sets = {}, {}, []
             for c in all_configs:
                 csv, truth = (os.path.join(data_dir, rel) for _, rel in _data_files(c.name))
                 manifest = rescale_mos(load_manifest(csv))
-                self.manifests[c.name] = manifest
-                self.crops.update(
-                    central_crop_store(manifest.records, self.config.scorer.patch_size)
-                )
+                manifests[c.name] = manifest
+                crops.update(central_crop_store(manifest.records, self.config.scorer.patch_size))
                 if c is not self.config.pool:
                     labels = dict(load_ground_truth(truth).qstar)
-                    self.qstar_sets.append(DatasetManifest(c.name, manifest.records, labels))
+                    qstar_sets.append(DatasetManifest(c.name, manifest.records, labels))
+            return manifests, crops, qstar_sets
 
         payload = {"configs": [c.to_dict() for c in all_configs]}
-        self._stage("data", payload, build, load)
+        return self._stage("data", payload, build, load)
 
-    def run_stage1(self) -> dict[str, ScorerParams]:
-        self.run_data()
+    def run_stage1(self) -> dict[str, dict]:
+        manifests = self.run_data()[0]
         config = self.config
         names = config.dataset_names
 
         def unit(name: str) -> tuple[str, dict]:
             log.info("stage1: training scorer on %s", name)
-            manifest = self.manifests[name]
+            manifest = manifests[name]
             split = split_dataset(
                 manifest,
                 derive_seed(config.master_seed, "split", name),
@@ -504,13 +501,12 @@ class ExperimentRunner:
             "fraction": config.split_fraction,
             "inputs": {n: self._dataset_digest(n) for n in names},
         }
-        self.s1_models = self._stage(
+        return self._stage(
             "stage1",
             payload,
             lambda: dict(self._map(unit, names)),
             lambda outputs: self._load_models(outputs, names),
         )
-        return {n: e["params"] for n, e in self.s1_models.items()}
 
     def _pair_units(self) -> list[tuple[str, int]]:
         config = self.config
@@ -523,7 +519,8 @@ class ExperimentRunner:
         return units
 
     def run_stage2(self) -> dict[str, dict]:
-        self.run_stage1()
+        s1_models = self.run_stage1()
+        manifests, crops, _ = self.run_data()
         config = self.config
         names = config.dataset_names
         pairs_seed = derive_seed(config.master_seed, "pairs")
@@ -531,12 +528,12 @@ class ExperimentRunner:
 
         def build() -> dict:
             log.info("stage2: scoring the pool with %d models", len(names))
-            pool_manifest = self.manifests[config.pool.name]
+            pool_manifest = manifests[config.pool.name]
             image_ids = sorted(r.id for r in pool_manifest.records)
             snapshot = EnsembleSnapshot.from_params(
-                [self.s1_models[n]["params"] for n in names]
+                [s1_models[n]["params"] for n in names]
             )
-            table = score_pool(snapshot, image_ids, self.crops)
+            table = score_pool(snapshot, image_ids, crops)
             by_name = dict(zip(names, table))
             prov_by_name = dict(zip(names, snapshot.provenance))
             outputs = {}
@@ -568,12 +565,12 @@ class ExperimentRunner:
             return outputs
 
         payload = {
-            "models": {n: self.s1_models[n]["sha256"] for n in names},
+            "models": {n: s1_models[n]["sha256"] for n in names},
             "pool": self._dataset_digest(config.pool.name),
             "units": [[t, n] for t, n in units],
             "seed": pairs_seed,
         }
-        self.pair_entries = self._stage(
+        return self._stage(
             "stage2",
             payload,
             build,
@@ -581,10 +578,10 @@ class ExperimentRunner:
                 f"{t}:n{n}": dict(outputs[f"pairs:{t}:n{n}"]) for t, n in units
             },
         )
-        return self.pair_entries
 
     def run_stage3(self) -> dict[str, dict]:
-        self.run_stage2()
+        pair_entries = self.run_stage2()
+        crops = self.run_data()[1]
         config = self.config
         units = self._pair_units()
         keys = [f"{t}:n{n}" for t, n in units]
@@ -598,9 +595,9 @@ class ExperimentRunner:
                 seed=derive_seed(config.master_seed, "train3", tag, f"n{n}"),
             )
             pairs = load_pair_manifest(
-                os.path.join(self.out_dir, self.pair_entries[key]["path"])
+                os.path.join(self.out_dir, pair_entries[key]["path"])
             )
-            params = train_pairwise(pairs, self.crops, config.scorer, tcfg)
+            params = train_pairwise(pairs, crops, config.scorer, tcfg)
             params.meta = {
                 "trained_on": config.pool.name,
                 "ensemble": tag,
@@ -609,19 +606,18 @@ class ExperimentRunner:
             return f"model:{key}", self._save_model(params, f"cdr-{tag}-n{n}")
 
         payload = {
-            "pairs": {k: self.pair_entries[k]["sha256"] for k in keys},
+            "pairs": {k: pair_entries[k]["sha256"] for k in keys},
             "pool": self._dataset_digest(config.pool.name),
             "master_seed": config.master_seed,
             "scorer": config.scorer.to_dict(),
             "train": _unseeded(config.stage3),
         }
-        self.cdr_models = self._stage(
+        return self._stage(
             "stage3",
             payload,
             lambda: dict(self._map(unit, units)),
             lambda outputs: self._load_models(outputs, keys),
         )
-        return self.cdr_models
 
     # ---- evaluation ----------------------------------------------------
 
@@ -644,10 +640,11 @@ class ExperimentRunner:
 
     def _mean_srcc(self, params: ScorerParams) -> dict:
         """Mean ground-truth SRCC of one model across all datasets."""
-        fn = crop_scorer(params, self.crops)
+        _, crops, qstar_sets = self.run_data()
+        fn = crop_scorer(params, crops)
         per_dataset = {
             m.name: srcc(fn(m.records), [m.labels[r.id] for r in m.records])
-            for m in self.qstar_sets
+            for m in qstar_sets
         }
         return {
             "per_dataset": per_dataset,
@@ -655,30 +652,31 @@ class ExperimentRunner:
         }
 
     def run_cross_eval(self) -> dict:
-        self.run_stage3()
         config = self.config
         names = config.dataset_names
-        cdr = self.cdr_models[f"{config.full_tag}:n{config.pair_ladder[-1]}"]
+        cdr = self.run_stage3()[f"{config.full_tag}:n{config.pair_ladder[-1]}"]
+        s1_models = self.run_stage1()
+        manifests, crops, qstar_sets = self.run_data()
         # (row name, trained on, model entry): each stage-1 model, then the CDR
-        entries = [(f"s1-{n}", n, self.s1_models[n]) for n in names]
+        entries = [(f"s1-{n}", n, s1_models[n]) for n in names]
         entries.append(("cdr", config.pool.name, cdr))
 
         def build() -> dict:
             log.info("cross-eval: scoring %d models on %d datasets",
                      len(entries), len(names))
             rows = [
-                ScoredModel(name, trained_on, crop_scorer(entry["params"], self.crops))
+                ScoredModel(name, trained_on, crop_scorer(entry["params"], crops))
                 for name, trained_on, entry in entries
             ]
-            vs_qstar = cross_dataset_matrix(rows, self.qstar_sets)
-            vs_labels = cross_dataset_matrix(rows, [self.manifests[n] for n in names])
-            qstar_all = {i: q for m in self.qstar_sets for i, q in m.labels.items()}
+            vs_qstar = cross_dataset_matrix(rows, qstar_sets)
+            vs_labels = cross_dataset_matrix(rows, [manifests[n] for n in names])
+            qstar_all = {i: q for m in qstar_sets for i, q in m.labels.items()}
             oracle = ScoredModel(
                 name="oracle",
                 trained_on="ground-truth",
                 score_fn=lambda records: np.array([qstar_all[r.id] for r in records]),
             )
-            oracle_row = cross_dataset_matrix([oracle], self.qstar_sets)[0]
+            oracle_row = cross_dataset_matrix([oracle], qstar_sets)[0]
             report = {
                 "schema": SCHEMA_VERSION,
                 "inputs": {
@@ -700,7 +698,7 @@ class ExperimentRunner:
                 ),
             }
 
-        models = {n: self.s1_models[n]["sha256"] for n in names} | {"cdr": cdr["sha256"]}
+        models = {n: s1_models[n]["sha256"] for n in names} | {"cdr": cdr["sha256"]}
         return self._report("cross-eval", models, build)
 
     def _aggregates(self, vs_qstar: list[list[EvalReport]]) -> dict:
@@ -728,8 +726,8 @@ class ExperimentRunner:
         rows holds (signature key, model key, row fields); a table row is
         its fields, the model's hash and its mean ground-truth SRCC.
         """
-        self.run_stage3()
-        models = {sig: self.cdr_models[key] for sig, key, _ in rows}
+        cdr_models = self.run_stage3()
+        models = {sig: cdr_models[key] for sig, key, _ in rows}
 
         def build() -> dict:
             entries = [
@@ -767,9 +765,9 @@ class ExperimentRunner:
             "pool": self._dataset_digest(self.config.pool.name),
             "models": {
                 group: {k: {"path": e["path"], "sha256": e["sha256"]} for k, e in models.items()}
-                for group, models in (("stage1", self.s1_models), ("cdr", self.cdr_models))
+                for group, models in (("stage1", self.run_stage1()), ("cdr", self.run_stage3()))
             },
-            "pairs": dict(sorted(self.pair_entries.items())),
+            "pairs": dict(sorted(self.run_stage2().items())),
             "cross_eval": cross,
             "ablation_pairs": pairs_table,
             "ablation_ensemble": ensemble_table,

@@ -42,10 +42,12 @@ _FEISTEL_ROUNDS = 4
 # keeps one batch and one trace alive: each loop stacks one chunk and keeps
 # only forward_batch's scores, so a trace is freed before the next batch
 # allocates. trainer._fit keeps its batch alive instead, as re-faulting
-# freed pages slowed stage 3 by ~40%. Here nothing reads the trace and
-# freeing it costs no time: on perfbench `label` (2000 crops of 32x32),
-# moving from the whole pool stacked and 256 per batch to this cut peak
-# RSS from 176 to 121 MB and wall_s from 0.385 to 0.307 s.
+# freed pages slowed stage 3 by ~40%. Here nothing reads the trace, and
+# freeing it costs no time only while earlier garbage leaves free space lower
+# in the heap; a pass's ~6.6 MB of trace arrays freed at its top go back to
+# the system and the next batch re-faults them. On perfbench `label` (2000
+# crops of 32x32), moving from the whole pool stacked and 256 per batch to
+# this cut peak RSS from 176 to 121 MB and wall_s from 0.385 to 0.307 s.
 SCORE_BATCH = 64
 
 
@@ -136,6 +138,10 @@ class PairManifest(PairSidecar):
         rows.manifest = self
         return rows
 
+    def row(self, i: int) -> PairSample:  # pair i, read from the columns alone
+        per_model = None if self.per_model is None else tuple(self.per_model[i].tolist())
+        return PairSample(self.ids[self.x[i]], self.ids[self.y[i]], float(self.p_r[i]), per_model)
+
     def __eq__(self, other):  # equal sidecars and pairs, whatever the order of ids
         return PairSidecar.__eq__(self, other) is True and self.samples == other.samples
 
@@ -153,7 +159,7 @@ class PairManifest(PairSidecar):
         if self.per_model is not None:  # each model's probability lies in [0, 1]
             bad |= ~((self.per_model >= 0.0) & (self.per_model <= 1.0)).all(axis=1)
         if bad.any():  # report the first bad pair as a per-pair check would
-            s = self.samples[bad.argmax()]
+            s = self.row(int(bad.argmax()))
             if s.x_id == s.y_id:
                 raise PseudoLabelError(f"self-pair {s.x_id!r}")
             if not 0.0 < s.p_r < 1.0:

@@ -276,7 +276,7 @@ def train_pairwise(
     known = np.array([crop is not None for crop in crops], dtype=bool)
     bad = ~((p_r > 0.0) & (p_r < 1.0) & known[x] & known[y])
     if bad.any():
-        s = pair_manifest.samples[bad.argmax()]
+        s = pair_manifest.row(int(bad.argmax()))
         if not 0.0 < s.p_r < 1.0:
             raise TrainerError(f"pair ({s.x_id}, {s.y_id}) has label {s.p_r} outside (0, 1)")
         unknown = s.y_id if s.x_id in image_store else s.x_id

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -127,6 +128,12 @@ def test_config_validation():
     bad.ensemble_subsets = [["nope"]]
     with pytest.raises(HarnessError, match="subset"):
         bad.validate()
+    # a subset that only re-runs another: a dataset twice, or members out of order
+    for subset in (["blurs", "blurs"], ["noises", "blurs"]):
+        bad = _tiny_config()
+        bad.ensemble_subsets = [["blurs", "noises"], subset]
+        with pytest.raises(HarnessError, match=re.escape(f"subset {subset!r} must list each")):
+            bad.validate()
     bad = _tiny_config()
     bad.scorer = ScorerConfig(patch_size=64, channels_in=1, conv_channels=(2,), hidden=2)
     with pytest.raises(HarnessError, match="patch_size"):
@@ -287,6 +294,32 @@ def test_run_all_matrix_shape(tiny_run):
     assert len(report["vs_qstar"]) == 3
     assert all(len(row) == 2 for row in report["vs_qstar"])
     assert len(report["vs_labels"]) == 3
+
+
+def test_each_stage_call_returns_its_memoized_result(tmp_path, caplog):
+    caplog.set_level("INFO", logger="biqa.harness")
+    runner = ExperimentRunner(_tiny_config(), str(tmp_path), threads=1)
+    calls = [runner.run_data, runner.run_stage1, runner.run_stage2, runner.run_stage3,
+             runner.run_cross_eval, runner.run_ablation_paircount, runner.run_ablation_ensemble]
+    first = [call() for call in calls]
+    runs = [m.split(":")[0] for m in caplog.messages if m.endswith(": runs, not recorded")]
+    assert runs == ["stage data", "stage stage1", "stage stage2", "stage stage3",
+                    "stage cross-eval", "stage ablate-pairs", "stage ablate-ensemble"]
+    caplog.clear()
+    assert all(call() is result for call, result in zip(calls, first))
+    assert caplog.messages == []  # a repeated call neither reruns nor re-verifies
+
+    runner.run_all()
+    summary = json.loads(Path(tmp_path, "summary.json").read_text())
+    _, s1_models, pairs, cdr_models = first[:4]
+    for group, models in (("stage1", s1_models), ("cdr", cdr_models)):
+        assert summary["models"][group] == {
+            key: {"path": e["path"], "sha256": e["sha256"]} for key, e in models.items()
+        }
+        assert all(set(e) == {"params", "path", "sha256"} for e in models.values())
+    assert summary["pairs"] == pairs
+    # the stage memo is the runner's only record of what a stage gave
+    assert sorted(vars(runner)) == ["_memo", "config", "force", "out_dir", "state", "threads"]
 
 
 def test_pair_manifests_are_nested(tiny_run):

@@ -25,7 +25,7 @@ from biqa.rng import MASK64, SplitMix64, derive_seed
 from biqa.scorer import ScorerConfig, forward_batch, init_params, params_digest
 from biqa.trainer import stable_sigmoid
 
-from pair_rows import manifest_of
+from pair_rows import long_manifest, manifest_of
 from splitmix_oracle import ScalarSplitMix64, mix64
 
 
@@ -364,6 +364,20 @@ def test_pair_manifest_validate_rejects_bad_rows():
         manifest_of("p", 2, 0, [], [ok, ok]).validate()
     with pytest.raises(PseudoLabelError, match="n_pairs"):
         manifest_of("p", 2, 0, [], [ok]).validate()
+
+
+def test_validate_names_a_bad_last_pair_without_building_every_row():
+    man = long_manifest(60_000)
+    columns = man.x.nbytes + man.y.nbytes + man.p_r.nbytes + man.per_model.nbytes
+    tracemalloc.start()
+    try:
+        with pytest.raises(PseudoLabelError, match=r"pair \(i0399, i0149\): p_r 1.0$"):
+            man.validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one PairSample per pair would take several times the columns
+    assert peak < 2 * columns, (peak, columns)
 
 
 def test_save_load_roundtrip(tmp_path):

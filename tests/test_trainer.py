@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -31,7 +32,7 @@ from biqa.trainer import (
     train_single,
 )
 
-from pair_rows import manifest_of
+from pair_rows import long_manifest, manifest_of
 from splitmix_oracle import ScalarSplitMix64
 
 
@@ -312,6 +313,21 @@ def test_train_pairwise_validates_inputs():
                           samples=[PairSample("nope", ids[1], 0.5)])
     with pytest.raises(TrainerError, match="unknown id"):
         train_pairwise(missing, store, _SCFG, TrainConfig(epochs=1, warmup_epochs=0))
+
+
+def test_train_pairwise_names_a_bad_last_pair_without_building_every_row():
+    pairs = long_manifest(60_000)
+    store = dict.fromkeys(pairs.ids, np.zeros((8, 8, 1)))
+    columns = pairs.x.nbytes + pairs.y.nbytes + pairs.p_r.nbytes
+    tracemalloc.start()
+    try:
+        with pytest.raises(TrainerError, match=r"pair \(i0399, i0149\) has label 1.0 outside"):
+            train_pairwise(pairs, store, _SCFG, TrainConfig(epochs=1, warmup_epochs=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the checks need a few bytes per pair; one PairSample per pair, far more
+    assert peak < columns, (peak, columns)
 
 
 def test_train_pairwise_zero_lr_keeps_init():
