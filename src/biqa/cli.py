@@ -20,8 +20,8 @@ from .config import read_json
 from .dataset import DatasetError, load_manifest, rescale_mos, split_dataset
 from .harness import ExperimentRunner, HarnessError, crop_scorer, load_config, \
     reference_config
-from .metrics import MetricError, ScoredModel, cross_dataset_matrix, evaluate, \
-    matrix_to_json, render_matrix_csv, repeated_split_eval, srcc
+from .metrics import MIN_POINTS, MetricError, ScoredModel, cross_dataset_matrix, \
+    matrix_to_json, render_matrix_csv, srcc
 from .png_io import write_atomic
 from .pseudolabel import (
     EnsembleSnapshot,
@@ -91,9 +91,14 @@ def _score(params, records):
     return crop_scorer(params, crops)(records)
 
 
-def _scores_for(params, manifest) -> dict[str, float]:
-    values = _score(params, manifest.records)
-    return {r.id: float(v) for r, v in zip(manifest.records, values)}
+def _scored_model(path: str, params) -> ScoredModel:
+    """A loaded model file as a cross_dataset_matrix row: named by the
+    file's stem, trained_on from its meta."""
+    return ScoredModel(
+        name=os.path.splitext(os.path.basename(path))[0],
+        trained_on=str(params.meta.get("trained_on", "unknown")),
+        score_fn=functools.partial(_score, params),
+    )
 
 
 # ---- command handlers ----------------------------------------------------
@@ -118,9 +123,12 @@ def _cmd_train_single(args) -> dict:
     scorer_cfg = _scorer_config(args.scorer_config)
     train_cfg = _train_config(args.train_config, reference_config().stage1, args.seed)
     split = split_dataset(manifest, derive_seed(train_cfg.seed, "split"))
+    if len(split.test_ids) < MIN_POINTS:
+        raise DatasetError(f"{manifest.name}: the held-out split has {len(split.test_ids)} "
+                           f"images; its SRCC needs at least {MIN_POINTS}")
     params = train_single(manifest, split, scorer_cfg, train_cfg)
     save_params(params, args.out)
-    scores = _scores_for(params, manifest)
+    scores = dict(zip((r.id for r in manifest.records), _score(params, manifest.records)))
     test_srcc = srcc(
         [scores[i] for i in split.test_ids],
         [manifest.labels[i] for i in split.test_ids],
@@ -170,31 +178,11 @@ def _cmd_train_cdr(args) -> dict:
 
 
 def _cmd_eval(args) -> dict:
-    params = load_params(args.model)
-    manifest = load_manifest(args.dataset)
-    name = os.path.splitext(os.path.basename(args.model))[0]
-    trained_on = str(params.meta.get("trained_on", "unknown"))
-    scores = _scores_for(params, manifest)
-    if args.splits:
-        report = repeated_split_eval(
-            manifest,
-            scores,
-            k=args.splits,
-            base_seed=args.seed if args.seed is not None else 0,
-            model_name=name,
-        )
-        report = dataclasses.replace(report, trained_on=trained_on)
-    else:
-        report = evaluate(  # scores and labels both hold the records' order
-            list(scores.values()),
-            list(manifest.labels.values()),
-            model=name,
-            trained_on=trained_on,
-            dataset=manifest.name,
-        )
-    log.info(
-        "%s on %s: SRCC %.4f PLCC %.4f", name, manifest.name, report.srcc, report.plcc
-    )
+    """The one cell cross-eval gives for this model and dataset."""
+    model = _scored_model(args.model, load_params(args.model))
+    report = cross_dataset_matrix([model], [load_manifest(args.dataset)])[0][0]
+    log.info("%s on %s: SRCC %.4f PLCC %.4f",
+             model.name, report.dataset, report.srcc, report.plcc)
     return report.to_dict()
 
 
@@ -203,15 +191,7 @@ def _cmd_cross_eval(args) -> dict:
     if len({p.config.patch_size for _, p in loaded}) > 1:
         raise HarnessError("models disagree on patch size")
     manifests = [load_manifest(path) for path in args.datasets]
-
-    def row(path, params):
-        return ScoredModel(
-            name=os.path.splitext(os.path.basename(path))[0],
-            trained_on=str(params.meta.get("trained_on", "unknown")),
-            score_fn=functools.partial(_score, params),
-        )
-
-    matrix = cross_dataset_matrix([row(p, m) for p, m in loaded], manifests)
+    matrix = cross_dataset_matrix([_scored_model(*m) for m in loaded], manifests)
     if args.out_csv:
         write_atomic(args.out_csv, render_matrix_csv(matrix))
         log.info("wrote %s", args.out_csv)
@@ -288,9 +268,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="score a dataset with one model")
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--splits", type=int, default=0,
-                   help="median metrics over this many random test splits")
-    common(p, "base seed for --splits")
+    common(p, None)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("cross-eval", help="models x datasets correlation matrix")

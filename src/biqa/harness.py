@@ -44,6 +44,7 @@ import numpy as np
 from .config import decode, json_text, read_json
 from .dataset import DatasetManifest, load_manifest, rescale_mos, split_dataset
 from .metrics import (
+    MIN_FIT_POINTS,
     EvalReport,
     ScoredModel,
     cross_dataset_matrix,
@@ -140,6 +141,11 @@ class ExperimentConfig:
         for name in names + [self.pool.name]:
             if not name or any(c in name for c in "+:/\\ "):
                 raise HarnessError(f"name {name!r} has characters used as separators")
+        for d in self.datasets:
+            if d.n_images < MIN_FIT_POINTS:
+                # every dataset is a cross-eval column, whose PLCC fit needs them
+                raise HarnessError(f"dataset {d.name!r} has {d.n_images} images; "
+                                   f"evaluating it needs at least {MIN_FIT_POINTS}")
         if self.pool.seed in {d.seed for d in self.datasets}:
             raise HarnessError("pool seed must differ from every dataset seed")
         if not self.pair_ladder or sorted(set(self.pair_ladder)) != self.pair_ladder:
@@ -300,6 +306,14 @@ class ExperimentState:
     def stage(self, name: str) -> dict | None:
         return self.data["stages"].get(name)
 
+    def output(self, name: str, key: str) -> dict:
+        """One recorded output entry of a stage; a missing one is refused."""
+        outputs = self.stage(name)["outputs"]
+        if key not in outputs:
+            raise HarnessError(f"{self.path}: stage {name!r} records no output {key!r}; "
+                               "rerun with --force to rebuild")
+        return outputs[key]
+
     def record(self, name: str, signature: str, outputs: dict) -> None:
         self.data["stages"][name] = {"signature": signature, "outputs": outputs}
         self.save()
@@ -384,7 +398,8 @@ class ExperimentRunner:
             return list(pool.map(fn, items))
 
     def _stage(self, name: str, payload: dict, build, load):
-        """Run one cached stage once per runner and return load(outputs).
+        """Run one cached stage once per runner and return load(output),
+        where output(key) is the stage's recorded entry for key.
 
         The stage is signed over {"stage": name} | payload. When it is
         unrecorded, --force is set or its signature changed, one INFO line
@@ -413,18 +428,17 @@ class ExperimentRunner:
                 )
             else:
                 log.info("stage %s: skipped (up to date)", name)
-            self._memo[name] = load(self.state.stage(name)["outputs"])
+            self._memo[name] = load(lambda key: self.state.output(name, key))
         return self._memo[name]
 
     def _dataset_digest(self, name: str) -> str:
         """One dataset's digest, from the hashes the data stage recorded."""
-        outputs = self.state.stage("data")["outputs"]
         h = hashlib.sha256()
         for label, rel in _data_files(name):
             h.update(rel.encode("utf-8"))
             h.update(b"\0")
-            h.update(bytes.fromhex(outputs[f"{label}:{name}"]["sha256"]))
-        h.update(bytes.fromhex(outputs[f"images:{name}"]["sha256"]))
+            h.update(bytes.fromhex(self.state.output("data", f"{label}:{name}")["sha256"]))
+        h.update(bytes.fromhex(self.state.output("data", f"images:{name}")["sha256"]))
         return h.hexdigest()
 
     def _save_model(self, params: ScorerParams, stem: str) -> dict:
@@ -433,10 +447,10 @@ class ExperimentRunner:
         save_params(params, os.path.join(self.out_dir, rel))
         return {"path": rel, "sha256": digest}
 
-    def _load_models(self, outputs: dict, keys: list[str]) -> dict[str, dict]:
+    def _load_models(self, output, keys: list[str]) -> dict[str, dict]:
         models = {}
         for key in keys:
-            entry = outputs[f"model:{key}"]
+            entry = output(f"model:{key}")
             path = os.path.join(self.out_dir, entry["path"])
             models[key] = {"params": load_params(path)} | entry
         return models
@@ -460,7 +474,7 @@ class ExperimentRunner:
                     for c in all_configs
                     for label, rel in (*_data_files(c.name), ("images", c.name))}
 
-        def load(_outputs: dict) -> tuple:
+        def load(_output) -> tuple:
             manifests, crops, qstar_sets = {}, {}, []
             for c in all_configs:
                 csv, truth = (os.path.join(data_dir, rel) for _, rel in _data_files(c.name))
@@ -505,7 +519,7 @@ class ExperimentRunner:
             "stage1",
             payload,
             lambda: dict(self._map(unit, names)),
-            lambda outputs: self._load_models(outputs, names),
+            lambda output: self._load_models(output, names),
         )
 
     def _pair_units(self) -> list[tuple[str, int]]:
@@ -574,9 +588,7 @@ class ExperimentRunner:
             "stage2",
             payload,
             build,
-            lambda outputs: {
-                f"{t}:n{n}": dict(outputs[f"pairs:{t}:n{n}"]) for t, n in units
-            },
+            lambda output: {f"{t}:n{n}": dict(output(f"pairs:{t}:n{n}")) for t, n in units},
         )
 
     def run_stage3(self) -> dict[str, dict]:
@@ -616,7 +628,7 @@ class ExperimentRunner:
             "stage3",
             payload,
             lambda: dict(self._map(unit, units)),
-            lambda outputs: self._load_models(outputs, keys),
+            lambda output: self._load_models(output, keys),
         )
 
     # ---- evaluation ----------------------------------------------------
@@ -628,8 +640,8 @@ class ExperimentRunner:
             name,
             {"models": models, "datasets": datasets, "report_version": REPORT_VERSION},
             build,
-            lambda outputs: read_json(
-                os.path.join(self.out_dir, outputs["report"]["path"]), HarnessError
+            lambda output: read_json(
+                os.path.join(self.out_dir, output("report")["path"]), HarnessError
             ),
         )
 

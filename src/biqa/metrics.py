@@ -14,9 +14,9 @@ The remap may decrease (its slope starts with the sign of Pearson's r and
 the linear term b4 is free), so PLCC carries the remap's direction over
 the prediction range: an inverted model gets a negative PLCC and SRCC.
 
-Also provides the repeated-split evaluation protocol (k random 80/20
-splits, median of each metric taken independently) and full cross-dataset
-evaluation matrices.
+cross_dataset_matrix is the one evaluation path: every model scored on
+the full labeled set of every dataset, one EvalReport per cell. A cell
+that cannot be evaluated raises MetricError naming its model and dataset.
 
 All functions are pure; nothing here touches the filesystem.
 """
@@ -28,13 +28,15 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import DatasetManifest, ImageRecord, render_csv, split_dataset
-from .rng import derive_seed
+from .dataset import DatasetManifest, ImageRecord, render_csv
 from .trainer import stable_sigmoid
 
 LM_MAX_ITER = 200
 LM_REL_TOL = 1e-10
 LM_LAMBDA0 = 1e-3
+# fewest points a correlation takes, and fewest the five-parameter fit takes
+MIN_POINTS = 3
+MIN_FIT_POINTS = 5
 
 
 class MetricError(Exception):
@@ -60,8 +62,8 @@ def _check_pair(x, y, caller: str) -> tuple[np.ndarray, np.ndarray]:
     ya = np.asarray(y, dtype=np.float64)
     if xa.shape != ya.shape or xa.ndim != 1:
         raise MetricError(f"{caller}: need two equal-length vectors")
-    if xa.size < 3:
-        raise MetricError(f"{caller}: need at least 3 points, got {xa.size}")
+    if xa.size < MIN_POINTS:
+        raise MetricError(f"{caller}: need at least {MIN_POINTS} points, got {xa.size}")
     if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(ya))):
         raise MetricError(f"{caller}: non-finite values")
     return xa, ya
@@ -137,8 +139,8 @@ def fit_logistic(preds, mos) -> LogisticParams:
     affine fallback.
     """
     x, y = _check_pair(preds, mos, "fit_logistic")
-    if x.size < 5:
-        raise MetricError(f"fit_logistic: need at least 5 points, got {x.size}")
+    if x.size < MIN_FIT_POINTS:
+        raise MetricError(f"fit_logistic: need at least {MIN_FIT_POINTS} points, got {x.size}")
     sx = float(x.std())
     if sx == 0.0:
         raise MetricError("fit_logistic: zero variance in predictions")
@@ -222,20 +224,16 @@ class EvalReport:
     srcc: float
     plcc: float
     raw_pearson: float
-    betas: LogisticParams | None = None
-    seed: int | None = None
+    betas: LogisticParams
+    # always None; kept so every report cell keeps its "seed": null bytes
+    seed: None = None
 
     def to_dict(self) -> dict:
-        return asdict(self) | {"betas": self.betas.to_list() if self.betas else None}
+        return asdict(self) | {"betas": self.betas.to_list()}
 
 
 def evaluate(
-    preds,
-    mos,
-    model: str = "",
-    trained_on: str = "",
-    dataset: str = "",
-    seed: int | None = None,
+    preds, mos, model: str = "", trained_on: str = "", dataset: str = ""
 ) -> EvalReport:
     """SRCC + logistic-remapped PLCC + raw Pearson on one prediction set."""
     p = np.asarray(preds, dtype=np.float64)
@@ -249,44 +247,6 @@ def evaluate(
         plcc=plcc_value,
         raw_pearson=pearson(p, mos),
         betas=betas,
-        seed=seed,
-    )
-
-
-def repeated_split_eval(
-    manifest: DatasetManifest,
-    scores: dict[str, float],
-    k: int = 10,
-    base_seed: int = 0,
-    fraction: float = 0.8,
-    model_name: str = "",
-) -> EvalReport:
-    """k random train/test splits; median of each metric independently.
-
-    scores maps image id to predicted score and must cover every id that
-    lands in a test split.
-    """
-    if k < 1:
-        raise MetricError("repeated_split_eval: k must be >= 1")
-    reports = []
-    for i in range(k):
-        seed = derive_seed(base_seed, "split", i)
-        split = split_dataset(manifest, seed, fraction)
-        preds = [scores[image_id] for image_id in split.test_ids]
-        mos = [manifest.labels[image_id] for image_id in split.test_ids]
-        reports.append(
-            evaluate(preds, mos, model_name, manifest.name, manifest.name, seed)
-        )
-    return EvalReport(
-        model=model_name,
-        trained_on=manifest.name,
-        dataset=manifest.name,
-        n=reports[0].n,
-        srcc=float(np.median([r.srcc for r in reports])),
-        plcc=float(np.median([r.plcc for r in reports])),
-        raw_pearson=float(np.median([r.raw_pearson for r in reports])),
-        betas=None,
-        seed=base_seed,
     )
 
 
@@ -312,7 +272,10 @@ def cross_dataset_matrix(
         for ds in datasets:
             preds = np.asarray(model.score_fn(ds.records), dtype=np.float64)
             mos = [ds.labels[r.id] for r in ds.records]
-            row.append(evaluate(preds, mos, model.name, model.trained_on, ds.name))
+            try:
+                row.append(evaluate(preds, mos, model.name, model.trained_on, ds.name))
+            except MetricError as exc:
+                raise MetricError(f"{model.name} on {ds.name}: {exc}") from exc
         matrix.append(row)
     return matrix
 

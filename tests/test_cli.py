@@ -167,19 +167,22 @@ def test_train_cdr_and_eval(cli_env, tmp_path, capsys):
     assert report["betas"] is not None
 
 
-def test_eval_split_median_mode(cli_env, capsys):
-    assert dispatch([
-        "eval",
-        "--model", cli_env["alpha_model"],
-        "--dataset", cli_env["alpha"],
-        "--splits", "3",
-        "--seed", "4",
-        "--json",
-    ]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["n"] == 8
-    assert report["seed"] == 4
-    assert report["betas"] is None
+def test_eval_is_the_cross_eval_cell(cli_env, capsys):
+    def run(*argv):
+        assert dispatch([*argv, "--json"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    models, datasets = ["alpha_model", "beta_model"], ["alpha", "beta"]
+    matrix = run("cross-eval", "--models", *(cli_env[m] for m in models),
+                 "--datasets", *(cli_env[d] for d in datasets))["matrix"]
+    for i, model in enumerate(models):
+        for j, dataset in enumerate(datasets):
+            cell = run("eval", "--model", cli_env[model], "--dataset", cli_env[dataset])
+            assert cell == matrix[i][j]
+    for extra in (["--splits", "3"], ["--seed", "4"]):
+        assert dispatch(["eval", "--model", cli_env["alpha_model"],
+                         "--dataset", cli_env["alpha"], *extra]) == 1
+        assert "usage error" in capsys.readouterr().err
 
 
 def test_cross_eval_csv(cli_env, tmp_path, capsys):
@@ -269,6 +272,35 @@ def test_exit_code_2_on_bad_inputs(cli_env, tmp_path, capsys):
         "--out", str(tmp_path / "m.bin"),
     ]) == 2
     capsys.readouterr()
+
+
+def test_too_small_to_evaluate_is_refused_before_training(cli_env, tmp_path, capsys):
+    from dataclasses import replace
+
+    from biqa.harness import save_config
+    from test_harness import _tiny_config
+
+    cfg = json.loads((cli_env["root"] / "alpha.config.json").read_text())
+    small = _write_json(tmp_path / "small.json", cfg | {"n_images": 12})
+    assert dispatch(["synth-gen", "--config", small, "--out", str(tmp_path / "small")]) == 0
+    model = tmp_path / "m.bin"
+    assert dispatch([
+        "train-single",
+        "--dataset", str(tmp_path / "small" / "alpha.csv"),
+        "--scorer-config", cli_env["scorer_cfg"],
+        "--train-config", cli_env["train_cfg"],
+        "--out", str(model),
+    ]) == 2
+    assert "alpha: the held-out split has 2 images" in capsys.readouterr().err
+    assert not model.exists()
+    exp = _tiny_config()
+    exp.datasets[1] = replace(exp.datasets[1], n_images=4)
+    cfg_path = str(tmp_path / "exp.json")
+    save_config(exp, cfg_path)
+    out = tmp_path / "exp"
+    assert dispatch(["run-experiment", "--config", cfg_path, "--out", str(out)]) == 2
+    assert "dataset 'noises' has 4 images" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_a_csv_that_is_not_utf8_is_named_in_the_error(cli_env, tmp_path, capsys):

@@ -134,6 +134,15 @@ def test_config_validation():
         bad.ensemble_subsets = [["blurs", "noises"], subset]
         with pytest.raises(HarnessError, match=re.escape(f"subset {subset!r} must list each")):
             bad.validate()
+    # every dataset is a cross-eval column, and the PLCC fit takes 5 points
+    for n in (2, 4):
+        bad = _tiny_config()
+        bad.datasets[0] = replace(bad.datasets[0], n_images=n)
+        with pytest.raises(HarnessError, match=f"dataset 'blurs' has {n} images"):
+            bad.validate()
+    small = _tiny_config()
+    small.datasets[0] = replace(small.datasets[0], n_images=5)
+    small.validate()
     bad = _tiny_config()
     bad.scorer = ScorerConfig(patch_size=64, channels_in=1, conv_channels=(2,), hidden=2)
     with pytest.raises(HarnessError, match="patch_size"):
@@ -482,6 +491,30 @@ def test_malformed_output_entry_is_refused(tiny_run, tmp_path, stage, key, damag
     (tmp_path / "state.json").write_text(json.dumps(state))
     with pytest.raises(HarnessError, match=rf"state\.json: stage '{stage}': output '{key}'"):
         ExperimentRunner(_tiny_config(), str(tmp_path), threads=1).run_all()
+
+
+@pytest.mark.parametrize("stage, key", [
+    ("data", "csv:blurs"),
+    ("data", "images:noises"),
+    ("stage1", "model:blurs"),
+    ("stage2", "pairs:blurs+noises:n20"),
+    ("stage3", "model:noises:n20"),
+    ("cross-eval", "report"),
+])
+def test_a_missing_output_entry_is_refused_then_forced(tiny_run, tmp_path, stage, key):
+    import shutil
+
+    out, _ = tiny_run
+    work = str(tmp_path / "clone")
+    shutil.copytree(out, work)
+    state = json.loads(Path(work, "state.json").read_text())
+    del state["stages"][stage]["outputs"][key]
+    Path(work, "state.json").write_text(json.dumps(state))
+    message = f"state.json: stage '{stage}' records no output '{key}'; rerun with --force"
+    with pytest.raises(HarnessError, match=re.escape(message)):
+        ExperimentRunner(_tiny_config(), work, threads=1).run_all()
+    ExperimentRunner(_tiny_config(), work, threads=1, force=True).run_all()
+    assert _tree_hashes(work) == _tree_hashes(out)
 
 
 def test_different_master_seed_changes_models(tiny_run, tmp_path):

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +20,6 @@ from biqa.metrics import (
     plcc,
     rank_average,
     render_matrix_csv,
-    repeated_split_eval,
     srcc,
 )
 from biqa.rng import SplitMix64
@@ -308,8 +306,8 @@ def test_evaluate_populates_report():
     rng = SplitMix64(7)
     preds = rng.uniform_block(60)
     mos = preds * 0.5 + 0.1 * rng.normal_block(60)
-    rep = evaluate(preds, mos, model="m", trained_on="a", dataset="b", seed=3)
-    assert (rep.model, rep.trained_on, rep.dataset, rep.seed) == ("m", "a", "b", 3)
+    rep = evaluate(preds, mos, model="m", trained_on="a", dataset="b")
+    assert (rep.model, rep.trained_on, rep.dataset, rep.seed) == ("m", "a", "b", None)
     assert rep.n == 60
     assert rep.srcc == srcc(preds, mos)
     assert rep.betas is not None
@@ -323,12 +321,10 @@ def test_evaluate_populates_report():
         "plcc": rep.plcc,
         "raw_pearson": rep.raw_pearson,
         "betas": rep.betas.to_list(),
-        "seed": 3,
+        "seed": None,
     }
     assert d == expected and list(d) == list(expected)
     assert all(type(v) is float for v in d["betas"])
-    unfitted = replace(rep, betas=None)
-    assert unfitted.to_dict() == expected | {"betas": None}
 
 
 def _manifest(name, n, seed):
@@ -338,16 +334,6 @@ def _manifest(name, n, seed):
     ]
     labels = {r.id: rng.uniform() for r in records}
     return DatasetManifest(name=name, records=records, labels=labels)
-
-
-def test_repeated_split_eval_oracle():
-    man = _manifest("d", 40, 0)
-    rep = repeated_split_eval(man, man.labels, k=3, base_seed=5)
-    assert rep.srcc == pytest.approx(1.0, abs=1e-12)
-    assert rep.n == 8  # 20% of 40
-    assert rep.betas is None
-    with pytest.raises(MetricError, match="k must be"):
-        repeated_split_eval(man, man.labels, k=0)
 
 
 def test_cross_dataset_matrix_shape_and_oracle():
@@ -379,6 +365,18 @@ def test_cross_dataset_matrix_shape_and_oracle():
     assert matrix[0][1].dataset == "b"
     with pytest.raises(MetricError, match="empty"):
         cross_dataset_matrix([], ds)
+
+
+def test_cross_dataset_matrix_names_the_cell_it_cannot_evaluate():
+    ds = [_manifest("a", 20, 1), _manifest("b", 25, 2)]
+    models = [
+        ScoredModel(name="ok", trained_on="a", score_fn=lambda recs: np.arange(len(recs))),
+        ScoredModel(name="flat", trained_on="b", score_fn=lambda recs: np.ones(len(recs))),
+    ]
+    with pytest.raises(MetricError, match=r"^flat on a: .*zero variance"):
+        cross_dataset_matrix(models, ds)
+    with pytest.raises(MetricError, match=r"^ok on tiny: fit_logistic: need at least 5 points"):
+        cross_dataset_matrix(models[:1], [_manifest("tiny", 4, 3)])
 
 
 def test_render_matrix_csv_layout():
