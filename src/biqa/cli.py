@@ -91,9 +91,10 @@ def _score(params, records):
     return crop_scorer(params, crops)(records)
 
 
-def _scored_model(path: str, params) -> ScoredModel:
-    """A loaded model file as a cross_dataset_matrix row: named by the
-    file's stem, trained_on from its meta."""
+def _scored_model(path: str) -> ScoredModel:
+    """A model file as a cross_dataset_matrix row: named by the file's
+    stem, trained_on from its meta, scored at its own patch size."""
+    params = load_params(path)
     return ScoredModel(
         name=os.path.splitext(os.path.basename(path))[0],
         trained_on=str(params.meta.get("trained_on", "unknown")),
@@ -147,9 +148,7 @@ def _cmd_gen_pairs(args) -> dict:
     snapshot = EnsembleSnapshot.from_files(args.models)
     pool = load_manifest(args.pool)
     seed = args.seed if args.seed is not None else 0
-    manifest = generate_pair_manifest(
-        snapshot, pool, args.n_pairs, seed, keep_per_model=args.keep_per_model
-    )
+    manifest = generate_pair_manifest(snapshot, pool, args.n_pairs, seed)
     save_pair_manifest(manifest, args.out)
     log.info("wrote %d pairs to %s", manifest.n_pairs, args.out)
     return {
@@ -179,7 +178,7 @@ def _cmd_train_cdr(args) -> dict:
 
 def _cmd_eval(args) -> dict:
     """The one cell cross-eval gives for this model and dataset."""
-    model = _scored_model(args.model, load_params(args.model))
+    model = _scored_model(args.model)
     report = cross_dataset_matrix([model], [load_manifest(args.dataset)])[0][0]
     log.info("%s on %s: SRCC %.4f PLCC %.4f",
              model.name, report.dataset, report.srcc, report.plcc)
@@ -187,11 +186,8 @@ def _cmd_eval(args) -> dict:
 
 
 def _cmd_cross_eval(args) -> dict:
-    loaded = [(path, load_params(path)) for path in args.models]
-    if len({p.config.patch_size for _, p in loaded}) > 1:
-        raise HarnessError("models disagree on patch size")
-    manifests = [load_manifest(path) for path in args.datasets]
-    matrix = cross_dataset_matrix([_scored_model(*m) for m in loaded], manifests)
+    matrix = cross_dataset_matrix([_scored_model(path) for path in args.models],
+                                  [load_manifest(path) for path in args.datasets])
     if args.out_csv:
         write_atomic(args.out_csv, render_matrix_csv(matrix))
         log.info("wrote %s", args.out_csv)
@@ -251,8 +247,6 @@ def build_parser() -> _Parser:
     p.add_argument("--pool", required=True, help="unlabeled pool manifest CSV")
     p.add_argument("--n-pairs", type=int, required=True)
     p.add_argument("--out", required=True, help="pair manifest CSV to write")
-    p.add_argument("--keep-per-model", action="store_true",
-                   help="keep per-model probability columns")
     common(p, "pair sampling seed (default 0)")
     p.set_defaults(func=_cmd_gen_pairs)
 

@@ -110,23 +110,27 @@ def rescale_mos(manifest: DatasetManifest) -> DatasetManifest:
     )
 
 
+def train_count(name: str, n: int, fraction: float, error=DatasetError) -> int:
+    """|train| of split_dataset over n records, floor(fraction * n + 0.5);
+    error(message) for a fraction outside (0, 1) or an empty side."""
+    if not 0.0 < fraction < 1.0:
+        raise error(f"split_fraction must be in (0, 1), got {fraction}")
+    n_train = int(np.floor(fraction * n + 0.5))
+    if not 0 < n_train < n:
+        raise error(f"{name}: split of {n} records at fraction {fraction} "
+                    "leaves an empty side")
+    return n_train
+
+
 def split_dataset(manifest: DatasetManifest, seed: int, fraction: float = 0.8) -> Split:
     """Deterministic train/test partition of the manifest's ids.
 
     Ids are sorted lexicographically and Fisher-Yates shuffled with a
     SplitMix64(seed) stream, so the split does not depend on manifest row
-    order. |train| = floor(fraction * N + 0.5).
+    order. |train| = floor(fraction * N + 0.5), from train_count.
     """
-    if not 0.0 < fraction < 1.0:
-        raise DatasetError(f"fraction must be in (0, 1), got {fraction}")
     ids = sorted(rec.id for rec in manifest.records)
-    n = len(ids)
-    n_train = int(np.floor(fraction * n + 0.5))
-    if n_train < 1 or n - n_train < 1:
-        raise DatasetError(
-            f"{manifest.name}: split of {n} records at fraction {fraction} "
-            "leaves an empty side"
-        )
+    n_train = train_count(manifest.name, len(ids), fraction)
     rng = SplitMix64(seed)
     rng.shuffle(ids)
     return Split(train_ids=tuple(ids[:n_train]), test_ids=tuple(ids[n_train:]))
@@ -193,20 +197,19 @@ def render_csv(header, columns, error) -> str:
     return text
 
 
-def read_csv(path: str, header: tuple[str, ...], error, extra: tuple[str, ...] = ()):
+def read_csv(path: str, header: tuple[str, ...], error):
     """Yield each row after the header of the CSV at path as a list of
     strings (quotes parsed as csv.reader parses them, blank lines skipped).
-    The header must be `header` or `header + extra`, and every row must
-    have its field count; error(message) names the file and line (only the
-    file for text that is not UTF-8)."""
+    The header must be exactly `header`, and every row must have its field
+    count; error(message) names the file and line (only the file for text
+    that is not UTF-8)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             first = next(reader, [])
             n = len(first)
-            if first not in ([*header], [*header, *extra]):
-                optional = f"[,{','.join(extra)}]" if extra else ""
-                raise error(f"{path}: expected header {','.join(header)}{optional}, "
+            if first != [*header]:
+                raise error(f"{path}: expected header {','.join(header)}, "
                             f"got {','.join(first)!r}")
             for row in reader:
                 if len(row) == n:

@@ -42,7 +42,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .config import decode, json_text, read_json
-from .dataset import DatasetManifest, load_manifest, rescale_mos, split_dataset
+from .dataset import DatasetManifest, load_manifest, rescale_mos, split_dataset, train_count
 from .metrics import (
     MIN_FIT_POINTS,
     EvalReport,
@@ -146,6 +146,8 @@ class ExperimentConfig:
                 # every dataset is a cross-eval column, whose PLCC fit needs them
                 raise HarnessError(f"dataset {d.name!r} has {d.n_images} images; "
                                    f"evaluating it needs at least {MIN_FIT_POINTS}")
+            # stage 1 trains on one side of its split and scores the other
+            train_count(d.name, d.n_images, self.split_fraction, HarnessError)
         if self.pool.seed in {d.seed for d in self.datasets}:
             raise HarnessError("pool seed must differ from every dataset seed")
         if not self.pair_ladder or sorted(set(self.pair_ladder)) != self.pair_ladder:
@@ -170,8 +172,6 @@ class ExperimentConfig:
         sizes = {d.image_size for d in self.datasets} | {self.pool.image_size}
         if any(self.scorer.patch_size > s for s in sizes):
             raise HarnessError("patch_size exceeds a generated image size")
-        if not 0.0 < self.split_fraction < 1.0:
-            raise HarnessError("split_fraction must be in (0, 1)")
         if self.stage3.patches_per_image != 1:
             # train_pairwise trains on one fixed crop per image and never
             # reads the field, which still signs stage 3

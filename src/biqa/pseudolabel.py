@@ -19,7 +19,9 @@ the first k pairs of a longer run equal the k-pair run for the same seed.
 
 The Feistel permutation also works on whole uint64 arrays. A PairManifest
 holds its pairs as index and probability columns; its `samples` property
-builds PairSample rows.
+builds PairSample rows. Its file, `x_id,y_id,p_r`, holds the ensemble's
+label alone: one model's own probabilities are the file that model alone
+labels at the same seed, which draws the same pairs in the same order.
 """
 
 from __future__ import annotations
@@ -103,7 +105,6 @@ class PairSample:
     x_id: str
     y_id: str
     p_r: float
-    per_model: tuple[float, ...] | None = None
 
 
 @dataclass
@@ -118,54 +119,44 @@ class PairSidecar:
 
 @dataclass
 class PairManifest(PairSidecar):
-    """Pair i is (ids[x[i]], ids[y[i]]) with pseudo-label p_r[i] and, when
-    kept, per_model[i]: one probability per ensemble member."""
+    """Pair i is (ids[x[i]], ids[y[i]]) with pseudo-label p_r[i]."""
 
     ids: list[str]
     x: np.ndarray
     y: np.ndarray
     p_r: np.ndarray
-    per_model: np.ndarray | None = None
 
     @property
     def samples(self) -> list[PairSample]:
         """The pairs as PairSample rows: a new list on each read, whose item
         assignment also writes the row into these columns."""
         ids = np.array(self.ids, dtype=object)
-        per_model = None if self.per_model is None else map(tuple, self.per_model.tolist())
         rows = _Samples(map(PairSample, ids[self.x].tolist(), ids[self.y].tolist(),
-                            self.p_r.tolist(), per_model or [None] * len(self.p_r)))
+                            self.p_r.tolist()))
         rows.manifest = self
         return rows
 
     def row(self, i: int) -> PairSample:  # pair i, read from the columns alone
-        per_model = None if self.per_model is None else tuple(self.per_model[i].tolist())
-        return PairSample(self.ids[self.x[i]], self.ids[self.y[i]], float(self.p_r[i]), per_model)
+        return PairSample(self.ids[self.x[i]], self.ids[self.y[i]], float(self.p_r[i]))
 
     def __eq__(self, other):  # equal sidecars and pairs, whatever the order of ids
         return PairSidecar.__eq__(self, other) is True and self.samples == other.samples
 
     def validate(self) -> None:
-        n, k = len(self.p_r), len(self.ensemble)
+        n = len(self.p_r)
         if self.n_pairs != n:
             raise PseudoLabelError(f"n_pairs {self.n_pairs} != {n} samples")
         if n == 0:
             raise PseudoLabelError("a pair manifest needs at least one pair")
-        if self.per_model is not None and self.per_model.shape != (n, k):
-            raise PseudoLabelError(f"per_model shape {self.per_model.shape} != ({n}, {k})")
         again = np.ones(n, dtype=bool)  # np.unique's stable sort finds each pair's first
         again[np.unique(self.x * len(self.ids) + self.y, return_index=True)[1]] = False
         bad = (self.x == self.y) | ~((self.p_r > 0.0) & (self.p_r < 1.0)) | again
-        if self.per_model is not None:  # each model's probability lies in [0, 1]
-            bad |= ~((self.per_model >= 0.0) & (self.per_model <= 1.0)).all(axis=1)
         if bad.any():  # report the first bad pair as a per-pair check would
             s = self.row(int(bad.argmax()))
             if s.x_id == s.y_id:
                 raise PseudoLabelError(f"self-pair {s.x_id!r}")
             if not 0.0 < s.p_r < 1.0:
                 raise PseudoLabelError(f"pair ({s.x_id}, {s.y_id}): p_r {s.p_r}")
-            if not all(0.0 <= p <= 1.0 for p in s.per_model or ()):
-                raise PseudoLabelError(f"pair ({s.x_id}, {s.y_id}): per_model {s.per_model}")
             raise PseudoLabelError(f"duplicate ordered pair {(s.x_id, s.y_id)}")
 
 
@@ -174,15 +165,9 @@ class _Samples(list):
 
     def __setitem__(self, i, s: PairSample) -> None:
         m, i = self.manifest, range(len(self))[i]
-        width = None if m.per_model is None else m.per_model.shape[1]
-        if (None if s.per_model is None else len(s.per_model)) != width:
-            raise PseudoLabelError(f"pair ({s.x_id}, {s.y_id}): per_model {s.per_model} "
-                                   f"does not fit per-model width {width}")
         super().__setitem__(i, s)  # refuses a slice before the columns change
         m.ids = [*m.ids, *(j for j in dict.fromkeys((s.x_id, s.y_id)) if j not in m.ids)]
         m.x[i], m.y[i], m.p_r[i] = m.ids.index(s.x_id), m.ids.index(s.y_id), s.p_r
-        if width is not None:
-            m.per_model[i] = s.per_model
 
 
 def central_crop_store(records: list[ImageRecord], crop: int) -> dict[str, np.ndarray]:
@@ -273,7 +258,6 @@ def build_pair_manifest(
     provenance: list[dict],
     n_pairs: int,
     seed: int,
-    keep_per_model: bool = False,
 ) -> PairManifest:
     """Assemble a labeled manifest from precomputed per-model scores."""
     if len(table) != len(provenance):
@@ -287,7 +271,6 @@ def build_pair_manifest(
     manifest = PairManifest(
         pool_name, n_pairs, seed, list(provenance), ids, x, y,
         p_r=np.fromiter(map(math.fsum, zip(*probs)), np.float64, n_pairs) / len(probs),
-        per_model=np.stack(probs, axis=1) if keep_per_model else None,
     )
     manifest.validate()
     return manifest
@@ -298,15 +281,12 @@ def generate_pair_manifest(
     pool: DatasetManifest,
     n_pairs: int,
     seed: int,
-    keep_per_model: bool = False,
 ) -> PairManifest:
     """Stage 2 end to end: score the pool, sample pairs, label them."""
     image_ids = sorted(r.id for r in pool.records)
     store = central_crop_store(pool.records, snapshot.patch_size)
     table = score_pool(snapshot, image_ids, store)
-    return build_pair_manifest(
-        pool.name, image_ids, table, snapshot.provenance, n_pairs, seed, keep_per_model
-    )
+    return build_pair_manifest(pool.name, image_ids, table, snapshot.provenance, n_pairs, seed)
 
 
 def _sidecar_path(csv_path: str) -> str:
@@ -315,38 +295,34 @@ def _sidecar_path(csv_path: str) -> str:
 
 
 def save_pair_manifest(manifest: PairManifest, csv_path: str) -> None:
-    """Write the `x_id,y_id,p_r[,p_r_1,...]` CSV and its JSON sidecar."""
+    """Write the `x_id,y_id,p_r` CSV and its JSON sidecar."""
     ids = np.array(manifest.ids, dtype=object)
-    per_model = [] if manifest.per_model is None else manifest.per_model.T.tolist()
-    header = ["x_id", "y_id", "p_r"] + [f"p_r_{i + 1}" for i in range(len(per_model))]
     columns = [ids[manifest.x].tolist(), ids[manifest.y].tolist(), manifest.p_r.tolist()]
-    write_atomic(csv_path, render_csv(header, columns + per_model, PseudoLabelError))
+    write_atomic(csv_path, render_csv(["x_id", "y_id", "p_r"], columns, PseudoLabelError))
     sidecar = {f.name: getattr(manifest, f.name) for f in fields(PairSidecar)}
     write_atomic(_sidecar_path(csv_path), json_text(sidecar))
 
 
 def load_pair_manifest(csv_path: str) -> PairManifest:
-    """Read a pair CSV, with per-model columns p_r_1...p_r_K or none, and its sidecar."""
+    """Read an `x_id,y_id,p_r` CSV and its sidecar."""
     sidecar_path = _sidecar_path(csv_path)
     if not os.path.exists(sidecar_path):
         raise PseudoLabelError(f"missing sidecar {sidecar_path}")
     sidecar = decode(PairSidecar, read_json(sidecar_path, PseudoLabelError),
                      lambda message: PseudoLabelError(f"{sidecar_path}: {message}"))
-    per_model = tuple(f"p_r_{i + 1}" for i in range(len(sidecar.ensemble)))
-    rows = list(read_csv(csv_path, ("x_id", "y_id", "p_r"), PseudoLabelError, per_model))
-    columns = list(zip(*rows)) or [(), (), ()]
+    rows = list(read_csv(csv_path, ("x_id", "y_id", "p_r"), PseudoLabelError))
+    x_ids, y_ids, probs = list(zip(*rows)) or [(), (), ()]
     try:
-        probs = [np.fromiter(map(float, c), np.float64, len(c)) for c in columns[2:]]
+        p_r = np.fromiter(map(float, probs), np.float64, len(probs))
     except ValueError:
-        for row in rows:  # name the first row that holds a non-number
+        for x_id, y_id, p in rows:  # name the first row that holds a non-number
             try:
-                list(map(float, row[2:]))
+                float(p)
             except ValueError:
                 raise PseudoLabelError(f"{csv_path}: non-numeric probability in "
-                                       f"pair ({row[0]}, {row[1]})") from None
-    position = {i: k for k, i in enumerate(dict.fromkeys(columns[0] + columns[1]))}
-    x, y = (np.fromiter(map(position.__getitem__, c), np.intp, len(c)) for c in columns[:2])
-    manifest = PairManifest(**vars(sidecar), ids=list(position), x=x, y=y, p_r=probs[0],
-                            per_model=np.stack(probs[1:], axis=1) if len(probs) > 1 else None)
+                                       f"pair ({x_id}, {y_id})") from None
+    position = {i: k for k, i in enumerate(dict.fromkeys(x_ids + y_ids))}
+    x, y = (np.fromiter(map(position.__getitem__, c), np.intp, len(c)) for c in (x_ids, y_ids))
+    manifest = PairManifest(**vars(sidecar), ids=list(position), x=x, y=y, p_r=p_r)
     manifest.validate()
     return manifest

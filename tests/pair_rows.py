@@ -8,14 +8,12 @@ from biqa.pseudolabel import PairManifest
 
 def manifest_of(pool, n_pairs, seed, ensemble, samples):
     """The rows in order, over their ids in first-seen order (x ids, then
-    y ids); per_model columns when the rows have them."""
+    y ids)."""
     ids = list(dict.fromkeys([s.x_id for s in samples] + [s.y_id for s in samples]))
     x = np.array([ids.index(s.x_id) for s in samples], dtype=np.intp)
     y = np.array([ids.index(s.y_id) for s in samples], dtype=np.intp)
     p_r = np.array([s.p_r for s in samples], dtype=np.float64)
-    models = [s.per_model for s in samples]
-    per_model = None if None in models or not models else np.array(models, dtype=np.float64)
-    return PairManifest(pool, n_pairs, seed, ensemble, ids, x, y, p_r, per_model)
+    return PairManifest(pool, n_pairs, seed, ensemble, ids, x, y, p_r)
 
 
 def long_manifest(n_pairs, n_models=3, n_ids=400):
@@ -29,5 +27,4 @@ def long_manifest(n_pairs, n_models=3, n_ids=400):
     p_r = np.full(n_pairs, 0.5)
     p_r[-1] = 1.0
     ensemble = [{"trained_on": f"s{j}", "digest": f"d{j}"} for j in range(n_models)]
-    per_model = np.full((n_pairs, n_models), 0.5)
-    return PairManifest("pool", n_pairs, 0, ensemble, ids, x, y, p_r, per_model)
+    return PairManifest("pool", n_pairs, 0, ensemble, ids, x, y, p_r)

@@ -2,22 +2,25 @@
 
 Ten numbered checks cover the gradient oracle, loss and metric properties,
 pseudo-label behavior, the desk-scale cross-dataset experiment with its
-ablations, byte-level determinism, and the optimizer's decoupled decay.
+ablations, byte-level determinism with a checked-in digest ledger of the
+reference tree, and the optimizer's decoupled decay.
 Each one prints a single `[acceptance NN] PASS/FAIL` line outside pytest's
 capture so the verdict list is readable in any run log. The reference
 experiment (master seed 42) is built once and shared by checks 6 through 9.
 """
 
 import hashlib
+import json
 import math
 import os
+import platform
 import time
 
 import numpy as np
 import pytest
 
 from biqa.dataset import load_manifest, rescale_mos, split_dataset
-from biqa.harness import ExperimentRunner, crop_scorer, reference_config
+from biqa.harness import ExperimentRunner, crop_scorer, reference_config, signature_of
 from biqa.metrics import (
     LogisticParams,
     fit_logistic,
@@ -230,33 +233,37 @@ def test_acceptance_04_logistic_recovery(capsys):
 
 def _all_ordered_pairs(ids, scores):
     """build_pair_manifest over every ordered pair of ids, one model per
-    row of scores, with the per-model columns kept."""
+    row of scores."""
     table = [dict(zip(ids, row.tolist())) for row in scores]
     provenance = [{"trained_on": f"m{j}", "digest": f"d{j}"} for j in range(len(table))]
     n_pairs = len(ids) * (len(ids) - 1)
-    return build_pair_manifest("pool", ids, table, provenance, n_pairs, 5, keep_per_model=True)
+    return build_pair_manifest("pool", ids, table, provenance, n_pairs, 5)
 
 
 def test_acceptance_05_pseudolabel_properties(capsys):
-    # the labeller stage 2 runs, checked on its columns: each model's
-    # sigmoid(q_x - q_y) and their mean p_r, over every ordered pair
+    # the labeller stage 2 runs, checked on its columns over every ordered
+    # pair: the K-model p_r, and each model's sigmoid(q_x - q_y) read as
+    # stage 2 writes it, the p_r of that model's one-member manifest
     t0 = time.perf_counter()
     rng = SplitMix64(5)
     ids = [f"img{i:03d}" for i in range(317)]
     n = len(ids)
     ulp = float(np.spacing(1.0))
-    complement_ok = bounded_ok = oriented_ok = True
+    same_pairs_ok = complement_ok = bounded_ok = oriented_ok = True
     for k in range(1, 6):
         q = rng.normal_block(k * n).reshape(k, n) * 2.0
         man = _all_ordered_pairs(ids, q)
+        teachers = [_all_ordered_pairs(ids, qj[None, :]) for qj in q]
+        same_pairs_ok &= all(np.array_equal(t.x, man.x) and np.array_equal(t.y, man.y)
+                             for t in teachers)
+        own = np.stack([t.p_r for t in teachers])  # (k, pairs): each model's column
         row = np.empty(n * n, dtype=np.intp)
         row[man.x * n + man.y] = np.arange(man.n_pairs)
         swapped = row[man.y * n + man.x]  # the row of (y, x) for each (x, y)
-        for col in (man.p_r, *man.per_model.T):
+        for col in (man.p_r, *own):
             complement_ok &= bool(np.abs(col + col[swapped] - 1.0).max() <= ulp)
-        bounded_ok &= bool(((man.per_model.min(axis=1) <= man.p_r)
-                            & (man.p_r <= man.per_model.max(axis=1))).all())
-        for col, qj in zip(man.per_model.T, q):  # man.x and man.y index ids
+        bounded_ok &= bool(((own.min(axis=0) <= man.p_r) & (man.p_r <= own.max(axis=0))).all())
+        for col, qj in zip(own, q):  # man.x and man.y index ids
             oriented_ok &= bool((np.sign(col - 0.5) == np.sign(qj[man.x] - qj[man.y])).all())
 
     unit = _all_ordered_pairs(ids, rng.uniform_block(n)[None, :])
@@ -264,9 +271,10 @@ def test_acceptance_05_pseudolabel_properties(capsys):
     range_ok = lo >= 0.268941 and hi <= 0.731059
     elapsed = time.perf_counter() - t0
 
-    ok = complement_ok and bounded_ok and oriented_ok and range_ok
+    ok = same_pairs_ok and complement_ok and bounded_ok and oriented_ok and range_ok
     _verdict(capsys, 5, "pseudo-label properties", ok,
-             f"K=1..5 over {n * (n - 1)} pairs: complement within 1 ulp {complement_ok}, "
+             f"K=1..5 over {n * (n - 1)} pairs: one-model manifests on the same pairs "
+             f"{same_pairs_ok}, complement within 1 ulp {complement_ok}, "
              f"mean within model bounds {bounded_ok}, orientation {oriented_ok}, "
              f"unit-score range [{lo:.6f}, {hi:.6f}]; {elapsed:.2f}s")
 
@@ -342,6 +350,51 @@ def test_acceptance_09_determinism(reference_run, tmp_path_factory, capsys):
     diff = [k for k in sorted(set(a) | set(b)) if a.get(k) != b.get(k)][:3]
     _verdict(capsys, 9, "byte-identical rerun across thread counts", same_bytes,
              f"{len(a)} files compared" + (f"; first diffs {diff}" if diff else ""))
+
+
+# sha256 of each state.json stage record of the reference tree, with the
+# build that made them; the record signs the stage's inputs and lists its
+# outputs' hashes, so a change to any artifact's bytes, or to what a stage
+# is signed over (as REPORT_VERSION is), moves that stage's digest
+_LEDGER = os.path.join(os.path.dirname(__file__), "reference_digests.json")
+
+
+def _build() -> dict:
+    """What besides the code decides the reference tree's float bits."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # a numpy that does not report its BLAS
+        blas = "unknown"
+    try:  # the SIMD kernels numpy dispatches to on this CPU
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+        cpu = [f for f in __cpu_dispatch__ if __cpu_features__[f]]
+    except ImportError:
+        cpu = None
+    return {"python": ".".join(platform.python_version_tuple()[:2]),
+            "numpy": np.__version__, "blas": blas, "cpu": cpu}
+
+
+def test_acceptance_09_reference_ledger(reference_run, capsys):
+    with open(_LEDGER, encoding="utf-8") as fh:
+        ledger = json.load(fh)
+    build = _build()
+    other = [f"{k} {ledger['build'][k]} there, {v} here"
+             for k, v in build.items() if v != ledger["build"][k]]
+    if other:
+        pytest.skip("the ledger was recorded on another build: " + "; ".join(other))
+    with open(os.path.join(reference_run["out"], "state.json"), encoding="utf-8") as fh:
+        stages = json.load(fh)["stages"]
+    got = {name: signature_of(record) for name, record in stages.items()}
+    names = [*ledger["stages"], *(name for name in got if name not in ledger["stages"])]
+    moved = [name for name in names if got.get(name) != ledger["stages"].get(name)]
+    with capsys.disabled():
+        for name in names:
+            verdict = f"FAIL, now {got.get(name)}" if name in moved else "PASS"
+            print(f"[acceptance 09] ledger stage {name}: {verdict}", flush=True)
+    _verdict(capsys, 9, "reference tree matches the digest ledger", not moved,
+             f"{len(names) - len(moved)} of {len(names)} stages match"
+             + (f"; moved {moved}" if moved else ""))
 
 
 # ---- 10. optimizer decoupling -------------------------------------------------

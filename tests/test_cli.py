@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -145,6 +146,29 @@ def test_gen_pairs_outputs(cli_env):
     assert len(man.ensemble) == 2
 
 
+def test_each_teachers_probabilities_are_its_own_pair_file(cli_env, tmp_path, capsys):
+    # gen-pairs with one model at the same seed draws the same pairs, so its
+    # p_r column is that model's probability of each pair of the two-model file
+    def rows(*models):
+        out = str(tmp_path / f"{len(models)}-{os.path.basename(models[0])}.csv")
+        assert dispatch(["gen-pairs", "--models", *models, "--pool", cli_env["alpha"],
+                         "--n-pairs", "30", "--seed", "2", "--out", out]) == 0
+        lines = Path(out).read_text().splitlines()
+        assert lines[0] == "x_id,y_id,p_r"
+        return [line.split(",") for line in lines[1:]]
+
+    both = rows(cli_env["alpha_model"], cli_env["beta_model"])
+    assert Path(cli_env["pairs"]).read_text().splitlines()[1:] == [",".join(r) for r in both]
+    alpha, beta = rows(cli_env["alpha_model"]), rows(cli_env["beta_model"])
+    assert [r[:2] for r in alpha] == [r[:2] for r in beta] == [r[:2] for r in both]
+    for (*_, p), (*_, p1), (*_, p2) in zip(both, alpha, beta):
+        assert float(p) == math.fsum([float(p1), float(p2)]) / 2
+    assert dispatch(["gen-pairs", "--models", cli_env["alpha_model"], "--pool",
+                     cli_env["alpha"], "--n-pairs", "30", "--out", str(tmp_path / "k.csv"),
+                     "--keep-per-model"]) == 1
+    assert "usage error" in capsys.readouterr().err
+
+
 def test_train_cdr_and_eval(cli_env, tmp_path, capsys):
     model = str(tmp_path / "cdr.bin")
     assert dispatch([
@@ -234,19 +258,25 @@ def test_cross_eval_scores_each_dataset_on_its_own_images(cli_env, tmp_path, cap
     assert alpha_cell(cli_env["alpha"], str(b2)) == alpha_cell(cli_env["alpha"])
 
 
-def test_cross_eval_rejects_mixed_patch_sizes(cli_env, tmp_path, capsys):
-    odd = init_params(
-        ScorerConfig(patch_size=10, channels_in=1, conv_channels=(2,), hidden=2), seed=0
+def test_cross_eval_scores_each_model_at_its_own_patch_size(cli_env, tmp_path, capsys):
+    # an 8-px and a 12-px model in one matrix: each row is that model's own
+    # eval cell, scored on its own center crops
+    wide = init_params(
+        ScorerConfig(patch_size=12, channels_in=1, conv_channels=(2,), hidden=2), seed=0
     )
-    odd_path = str(tmp_path / "odd.bin")
-    save_params(odd, odd_path)
-    code = dispatch([
-        "cross-eval",
-        "--models", cli_env["alpha_model"], odd_path,
-        "--datasets", cli_env["alpha"],
-    ])
-    assert code == 2
-    assert "patch size" in capsys.readouterr().err
+    wide_path = str(tmp_path / "wide.bin")
+    save_params(wide, wide_path)
+
+    def run(*argv):
+        assert dispatch([*argv, "--json"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    models, datasets = [cli_env["alpha_model"], wide_path], [cli_env["alpha"], cli_env["beta"]]
+    matrix = run("cross-eval", "--models", *models, "--datasets", *datasets)["matrix"]
+    assert [row[0]["model"] for row in matrix] == ["alpha", "wide"]
+    for model, row in zip(models, matrix):
+        assert row == [run("eval", "--model", model, "--dataset", d) for d in datasets]
+    assert matrix[0][0]["srcc"] != matrix[1][0]["srcc"]
 
 
 def test_exit_code_2_on_bad_inputs(cli_env, tmp_path, capsys):

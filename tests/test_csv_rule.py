@@ -119,18 +119,13 @@ def test_read_parses_quotes_and_skips_blank_lines(tmp_path):
 def test_read_checks_header_and_field_count(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("k,v,w\na,1,2\n")
-    with pytest.raises(SynthError, match=r"t\.csv: expected header k,v"):
+    with pytest.raises(SynthError, match=r"t\.csv: expected header k,v, got 'k,v,w'"):
         list(read_csv(str(path), ("k", "v"), SynthError))
-    assert list(read_csv(str(path), ("k", "v"), SynthError, extra=("w",))) == [
-        ["a", "1", "2"]
-    ]
-    assert list(read_csv(str(path), ("k", "v", "w"), SynthError, extra=("x",))) == [
-        ["a", "1", "2"]
-    ]
-    # the extra columns come whole or not at all, under their own names
-    for extra in (("x",), ("w", "x")):
-        with pytest.raises(SynthError, match=r"expected header k,v\[,"):
-            list(read_csv(str(path), ("k", "v"), SynthError, extra=extra))
+    assert list(read_csv(str(path), ("k", "v", "w"), SynthError)) == [["a", "1", "2"]]
+    # the header is the columns, in their order, and no more
+    for header in (("k", "w", "v"), ("k", "v", "w", "x")):
+        with pytest.raises(SynthError, match=f"expected header {','.join(header)}, got"):
+            list(read_csv(str(path), header, SynthError))
     path.write_text("k,v\na,1\nb\n")
     with pytest.raises(SynthError, match=r"t\.csv: line 3: ragged row with 1 fields"):
         list(read_csv(str(path), ("k", "v"), SynthError))
@@ -196,31 +191,31 @@ def test_generated_manifest_and_truth_bytes(tmp_path):
     )
 
 
-def _pairs(per_model: bool) -> PairManifest:
-    samples = [
-        PairSample("a", "b", 0.6, (0.7, 0.5) if per_model else None),
-        PairSample("c", "a", 0.30000000000000004,
-                   (0.1, 0.5000000000000001) if per_model else None),
-    ]
+def _pairs(single_teacher: bool = False) -> PairManifest:
+    """Two pairs labelled by two teachers, or by the first one alone."""
+    if single_teacher:
+        samples = [PairSample("a", "b", 0.7), PairSample("c", "a", 0.1)]
+    else:
+        samples = [PairSample("a", "b", 0.6), PairSample("c", "a", 0.30000000000000004)]
     ensemble = [{"digest": "d1", "trained_on": "s1"}, {"digest": "d2", "trained_on": "s2"}]
-    return manifest_of("pool", 2, 7, ensemble, samples)
+    return manifest_of("pool", 2, 7, ensemble[:1] if single_teacher else ensemble, samples)
 
 
 @pytest.mark.parametrize(
-    "per_model, text",
+    "single_teacher, text",
     [
-        (True, b"x_id,y_id,p_r,p_r_1,p_r_2\n"
-               b"a,b,0.6,0.7,0.5\nc,a,0.30000000000000004,0.1,0.5000000000000001\n"),
+        (True, b"x_id,y_id,p_r\na,b,0.7\nc,a,0.1\n"),
         (False, b"x_id,y_id,p_r\na,b,0.6\nc,a,0.30000000000000004\n"),
     ],
 )
-def test_pair_manifest_bytes(tmp_path, per_model, text):
-    manifest = _pairs(per_model)
+def test_pair_manifest_bytes(tmp_path, single_teacher, text):
+    manifest = _pairs(single_teacher)
     save_pair_manifest(manifest, str(tmp_path / "p.csv"))
     assert (tmp_path / "p.csv").read_bytes() == text
+    second = b'  {\n   "digest": "d2",\n   "trained_on": "s2"\n  }\n'
     assert (tmp_path / "p.json").read_bytes() == (
-        b'{\n "ensemble": [\n  {\n   "digest": "d1",\n   "trained_on": "s1"\n  },\n'
-        b'  {\n   "digest": "d2",\n   "trained_on": "s2"\n  }\n ],\n'
+        b'{\n "ensemble": [\n  {\n   "digest": "d1",\n   "trained_on": "s1"\n  }'
+        + (b"\n" if single_teacher else b",\n" + second) + b' ],\n'
         b' "n_pairs": 2,\n "pool": "pool",\n "seed": 7\n}\n'
     )
     assert load_pair_manifest(str(tmp_path / "p.csv")) == manifest
@@ -291,15 +286,16 @@ def test_truth_rows_and_header_have_two_fields(tmp_path, text):
 
 
 def test_non_numeric_probability_is_refused(tmp_path):
-    manifest = _pairs(per_model=True)
+    manifest = _pairs()
     path = tmp_path / "p.csv"
     save_pair_manifest(manifest, str(path))
     good = path.read_text()
-    path.write_text(good.replace("a,b,0.6,", "a,b,high,"))
-    with pytest.raises(PseudoLabelError, match=r"p\.csv: non-numeric .* pair \(a, b\)"):
-        load_pair_manifest(str(path))
-    path.write_text(good.replace(",0.7,", ",?,"))
-    with pytest.raises(PseudoLabelError, match=r"p\.csv: non-numeric .* pair \(a, b\)"):
+    for label in ("high", "?", ""):  # the first pair holds the bad field
+        path.write_text(good.replace("a,b,0.6", f"a,b,{label}"))
+        with pytest.raises(PseudoLabelError, match=r"p\.csv: non-numeric .* pair \(a, b\)"):
+            load_pair_manifest(str(path))
+    path.write_text(good.replace("c,a,0.30000000000000004", "c,a,x"))
+    with pytest.raises(PseudoLabelError, match=r"p\.csv: non-numeric .* pair \(c, a\)"):
         load_pair_manifest(str(path))
 
 
@@ -307,7 +303,7 @@ def test_ids_holding_a_comma_are_refused(tmp_path):
     with pytest.raises(DatasetError, match="'a,b,a.png,0.5'"):
         write_manifest_csv(str(tmp_path / "m.csv"), [("a,b", "a.png", 0.5)])
     assert not (tmp_path / "m.csv").exists()
-    manifest = _pairs(per_model=False)
+    manifest = _pairs()
     manifest.samples[0] = PairSample("a,b", "c", 0.6)
     with pytest.raises(PseudoLabelError, match="'a,b,c,0.6'"):
         save_pair_manifest(manifest, str(tmp_path / "p.csv"))

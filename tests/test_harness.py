@@ -151,6 +151,17 @@ def test_config_validation():
     bad.split_fraction = 1.0
     with pytest.raises(HarnessError, match="split_fraction"):
         bad.validate()
+    # split_dataset keeps floor(fraction * n + 0.5) images for training, so
+    # of 6 images 0.95 keeps all 6 and 0.05 none; 0.9 keeps 5 and 0.1 one
+    for fraction in (0.95, 0.05):
+        bad = _tiny_config()
+        bad.datasets[1] = replace(bad.datasets[1], n_images=6)
+        bad.split_fraction = fraction
+        with pytest.raises(HarnessError, match=f"^noises: split of 6 records at fraction "
+                           f"{fraction} leaves an empty side$"):
+            bad.validate()
+        bad.split_fraction = 0.9 if fraction > 0.5 else 0.1
+        bad.validate()
     bad = _tiny_config()
     bad.stage3 = replace(bad.stage3, patches_per_image=5)
     with pytest.raises(HarnessError, match="stage3.patches_per_image is 5"):

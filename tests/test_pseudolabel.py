@@ -216,19 +216,11 @@ def _reference_sample_pairs(image_ids, n_pairs, seed):
     return pairs
 
 
-def _reference_build_pair_manifest(pool_name, image_ids, table, provenance,
-                                   n_pairs, seed, keep_per_model=False):
+def _reference_build_pair_manifest(pool_name, image_ids, table, provenance, n_pairs, seed):
     samples = []
     for x_id, y_id in _reference_sample_pairs(image_ids, n_pairs, seed):
-        per_model = tuple(_relative_prob(q[x_id], q[y_id]) for q in table)
-        samples.append(
-            PairSample(
-                x_id=x_id,
-                y_id=y_id,
-                p_r=math.fsum(per_model) / len(per_model),
-                per_model=per_model if keep_per_model else None,
-            )
-        )
+        probs = [_relative_prob(q[x_id], q[y_id]) for q in table]
+        samples.append(PairSample(x_id, y_id, math.fsum(probs) / len(probs)))
     manifest = manifest_of(pool_name, n_pairs, seed, list(provenance), samples)
     manifest.validate()
     return manifest
@@ -255,7 +247,7 @@ def test_sample_pairs_equals_scalar_reference(n, n_pairs, seed):
 
 
 @pytest.mark.parametrize(
-    "n, n_pairs, spreads, keep_per_model",
+    "n, n_pairs, spreads, per_teacher",
     [
         (2, 2, (1.0,), False),
         (3, 6, (1.0, 3.0), True),
@@ -269,12 +261,12 @@ def test_sample_pairs_equals_scalar_reference(n, n_pairs, seed):
     ],
 )
 def test_build_pair_manifest_bytes_equal_per_pair_reference(
-    tmp_path, n, n_pairs, spreads, keep_per_model
+    tmp_path, n, n_pairs, spreads, per_teacher
 ):
     ids = [f"img{i:05d}" for i in range(n)]
     table = _spread_table(ids, spreads)
     prov = [{"trained_on": f"s{j}", "digest": f"d{j}"} for j in range(len(spreads))]
-    args = ("pool", ids, table, prov, n_pairs, 11, keep_per_model)
+    args = ("pool", ids, table, prov, n_pairs, 11)
     want = _reference_build_pair_manifest(*args)
     got = build_pair_manifest(*args)
     assert got.samples == want.samples
@@ -291,6 +283,19 @@ def test_build_pair_manifest_bytes_equal_per_pair_reference(
     # other order rounds some pairs differently
     reverse = build_pair_manifest("pool", ids, table[::-1], prov[::-1], n_pairs, 11)
     assert reverse.p_r.tobytes() == got.p_r.tobytes()
+    if per_teacher:
+        # each teacher's own probabilities are its one-member manifest at the
+        # same seed: the same pairs, labelled with the reference's sigmoid;
+        # a teacher whose probabilities reach 0 or 1 makes no valid manifest
+        for q, member in zip(table, prov):
+            probs = [_relative_prob(q[s.x_id], q[s.y_id]) for s in want.samples]
+            if not 0.0 < min(probs) <= max(probs) < 1.0:
+                with pytest.raises(PseudoLabelError, match="p_r"):
+                    build_pair_manifest("pool", ids, [q], [member], n_pairs, 11)
+                continue
+            one = build_pair_manifest("pool", ids, [q], [member], n_pairs, 11)
+            assert one.x.tolist() == got.x.tolist() and one.y.tolist() == got.y.tolist()
+            assert one.p_r.tolist() == probs
 
 
 @pytest.mark.parametrize("spreads", [(900.0,), (900.0, 900.0)])
@@ -310,9 +315,9 @@ def test_relative_prob_values():
     """One model's pinned relative probabilities, read off the p_r column."""
     ids = ["a", "b", "c", "d"]
     one = build_pair_manifest("pool", ids, [{"a": 1.0, "b": 0.0, "c": 0.3, "d": 0.3}],
-                              [{"trained_on": "s", "digest": "d"}], 12, 1, keep_per_model=True)
+                              [{"trained_on": "s", "digest": "d"}], 12, 1)
     p = {(s.x_id, s.y_id): s.p_r for s in one.samples}
-    assert len(p) == 12 and one.per_model[:, 0].tolist() == one.p_r.tolist()
+    assert len(p) == 12
     assert p["a", "b"] == pytest.approx(0.7310585786300049, abs=1e-15)
     assert p["b", "a"] == pytest.approx(0.2689414213699951, abs=1e-15)
     assert p["c", "d"] == p["d", "c"] == 0.5
@@ -322,12 +327,10 @@ def test_build_pair_manifest_labels():
     ids = ["a", "b", "c"]
     table = [{"a": 0.9, "b": 0.1, "c": 0.5}, {"a": 0.2, "b": 0.8, "c": 0.5}]
     prov = [{"trained_on": "s0", "digest": "d0"}, {"trained_on": "s1", "digest": "d1"}]
-    man = build_pair_manifest("pool", ids, table, prov, n_pairs=6, seed=1,
-                              keep_per_model=True)
+    man = build_pair_manifest("pool", ids, table, prov, n_pairs=6, seed=1)
     man.validate()
     for s in man.samples:
         expect = [_relative_prob(q[s.x_id], q[s.y_id]) for q in table]
-        assert s.per_model == tuple(expect)
         assert s.p_r == pytest.approx(math.fsum(expect) / 2, abs=1e-15)
 
 
@@ -368,7 +371,7 @@ def test_pair_manifest_validate_rejects_bad_rows():
 
 def test_validate_names_a_bad_last_pair_without_building_every_row():
     man = long_manifest(60_000)
-    columns = man.x.nbytes + man.y.nbytes + man.p_r.nbytes + man.per_model.nbytes
+    columns = man.x.nbytes + man.y.nbytes + man.p_r.nbytes
     tracemalloc.start()
     try:
         with pytest.raises(PseudoLabelError, match=r"pair \(i0399, i0149\): p_r 1.0$"):
@@ -376,8 +379,8 @@ def test_validate_names_a_bad_last_pair_without_building_every_row():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one PairSample per pair would take several times the columns
-    assert peak < 2 * columns, (peak, columns)
+    # one PairSample per pair takes about 6x the columns (9.1 MB here)
+    assert peak < 4 * columns, (peak, columns)
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -385,8 +388,7 @@ def test_save_load_roundtrip(tmp_path):
     rng = ScalarSplitMix64(3)
     table = [{i: rng.uniform() for i in ids} for _ in range(3)]
     prov = [{"trained_on": f"s{j}", "digest": f"d{j}"} for j in range(3)]
-    man = build_pair_manifest("pool", ids, table, prov, n_pairs=8, seed=2,
-                              keep_per_model=True)
+    man = build_pair_manifest("pool", ids, table, prov, n_pairs=8, seed=2)
     path = str(tmp_path / "pairs.csv")
     save_pair_manifest(man, path)
     back = load_pair_manifest(path)
@@ -397,13 +399,14 @@ def test_save_load_roundtrip(tmp_path):
 
 def test_save_load_without_per_model(tmp_path):
     ids = ["a", "b", "c"]
-    table = [{"a": 0.1, "b": 0.5, "c": 0.9}]
-    man = build_pair_manifest("pool", ids, table, [{"trained_on": "s", "digest": "d"}],
-                              n_pairs=4, seed=0)
+    table = [{"a": 0.1, "b": 0.5, "c": 0.9}, {"a": 0.6, "b": 0.2, "c": 0.4}]
+    prov = [{"trained_on": "s0", "digest": "d0"}, {"trained_on": "s1", "digest": "d1"}]
+    man = build_pair_manifest("pool", ids, table, prov, n_pairs=4, seed=0)
     path = str(tmp_path / "p.csv")
     save_pair_manifest(man, path)
+    # one format: the ensemble's label and nothing per model
+    assert (tmp_path / "p.csv").read_text().splitlines()[0] == "x_id,y_id,p_r"
     back = load_pair_manifest(path)
-    assert all(s.per_model is None for s in back.samples)
     assert back.samples == man.samples
 
 
@@ -468,78 +471,56 @@ def test_sidecar_must_be_an_object_with_every_key(tmp_path):
         load_pair_manifest(path)
 
 
-# ---- columns: header rule, per-model width, the samples view ------------
+# ---- columns: header rule, the samples view --------------------------------
 
 
-def test_load_takes_extra_columns_only_as_one_per_ensemble_member(tmp_path):
+def test_load_refuses_columns_beyond_p_r(tmp_path):
+    # a pair file holds the ensemble's label only; one model's probabilities
+    # are that model's own pair file, so per-model columns are refused
     path = tmp_path / "p.csv"
     ensemble = [{"trained_on": f"s{j}", "digest": f"d{j}"} for j in range(3)]
     (tmp_path / "p.json").write_text(json.dumps(
         {"pool": "pool", "n_pairs": 1, "seed": 0, "ensemble": ensemble}))
-    for header in ("x_id,y_id,p_r,foo", "x_id,y_id,p_r,p_r_1", "x_id,y_id,p_r,p_r_1,p_r_2",
-                   "x_id,y_id,p_r,p_r_1,p_r_2,p_r_3,p_r_4", "x_id,y_id,p_r,p_r_2,p_r_1,p_r_3"):
+    for header in ("x_id,y_id,p_r,foo", "x_id,y_id,p_r,p_r_1", "x_id,y_id,p_r,p_r_1,p_r_2,p_r_3"):
         width = header.count(",") - 2
         path.write_text(f"{header}\na,b,0.5" + ",0.5" * width + "\n")
-        with pytest.raises(PseudoLabelError, match=r"p\.csv: expected header "
-                           r"x_id,y_id,p_r\[,p_r_1,p_r_2,p_r_3\]"):
+        with pytest.raises(PseudoLabelError, match=r"p\.csv: expected header x_id,y_id,p_r, "
+                           f"got '{header}'"):
             load_pair_manifest(str(path))
-    path.write_text("x_id,y_id,p_r,p_r_1,p_r_2,p_r_3\na,b,0.5,0.25,0.5,0.75\n")
-    assert load_pair_manifest(str(path)).samples == [PairSample("a", "b", 0.5, (0.25, 0.5, 0.75))]
     path.write_text("x_id,y_id,p_r\na,b,0.5\n")
     assert load_pair_manifest(str(path)).samples == [PairSample("a", "b", 0.5)]
 
 
 def test_empty_pair_manifest_is_refused(tmp_path):
-    # a header-only file would lose its per-model columns on a round trip
+    # a file of no pairs trains nothing, and no draw of sample_pairs makes one
     ensemble = [{"trained_on": f"s{j}", "digest": f"d{j}"} for j in range(2)]
     (tmp_path / "p.json").write_text(json.dumps(
         {"pool": "pool", "n_pairs": 0, "seed": 0, "ensemble": ensemble}))
-    (tmp_path / "p.csv").write_text("x_id,y_id,p_r,p_r_1,p_r_2\n")
+    (tmp_path / "p.csv").write_text("x_id,y_id,p_r\n")
     with pytest.raises(PseudoLabelError, match="at least one pair"):
         load_pair_manifest(str(tmp_path / "p.csv"))
     with pytest.raises(PseudoLabelError, match="at least one pair"):
         manifest_of("pool", 0, 0, ensemble, []).validate()
 
 
-def test_validate_refuses_a_per_model_width_other_than_the_ensemble():
-    ensemble = [{"trained_on": f"s{j}", "digest": f"d{j}"} for j in range(3)]
-    rows = [PairSample("a", "b", 0.5, (0.4, 0.6)), PairSample("b", "a", 0.5, (0.6, 0.4))]
-    with pytest.raises(PseudoLabelError, match=r"per_model shape \(2, 2\) != \(2, 3\)"):
-        manifest_of("pool", 2, 0, ensemble, rows).validate()
-    manifest_of("pool", 2, 0, ensemble[:2], rows).validate()
-
-
-def test_per_model_probabilities_outside_the_unit_interval_are_refused(tmp_path):
-    ensemble = [{"trained_on": "s0", "digest": "d0"}]
-    (tmp_path / "p.json").write_text(json.dumps(
-        {"pool": "pool", "n_pairs": 3, "seed": 0, "ensemble": ensemble}))
-    path = str(tmp_path / "p.csv")
-    for first_bad, column in [("b, a", ("0.0", "nan", "7.5")), ("b, c", ("1.0", "0.5", "7.5")),
-                              ("a, b", ("-0.25", "0.5", "0.5"))]:
-        rows = [f"{x},{y},0.5,{p}" for (x, y), p in zip([("a", "b"), ("b", "a"), ("b", "c")], column)]
-        (tmp_path / "p.csv").write_text("\n".join(["x_id,y_id,p_r,p_r_1", *rows]) + "\n")
-        with pytest.raises(PseudoLabelError, match=rf"pair \({first_bad}\): per_model"):
-            load_pair_manifest(path)
-    # both ends of [0, 1] are probabilities
-    (tmp_path / "p.csv").write_text("x_id,y_id,p_r,p_r_1\na,b,0.5,0.0\nb,a,0.5,1.0\nb,c,0.5,0.5\n")
-    assert load_pair_manifest(path).per_model.tolist() == [[0.0], [1.0], [0.5]]
-    man = _view_manifest(True)  # and a built manifest is checked the same way
-    man.per_model[5, 1] = float("inf")
-    s = man.samples[5]
-    with pytest.raises(PseudoLabelError, match=rf"pair \({s.x_id}, {s.y_id}\): per_model"):
-        man.validate()
-
-
-def _view_manifest(keep_per_model):
+def _view_manifest(tmp_path, loaded):
+    """A built manifest (ids sorted), or the same pairs loaded back from its
+    file (ids in first-seen order)."""
     ids = ["a", "b", "c", "d"]
     table = [{"a": 0.1, "b": 0.5, "c": 0.9, "d": 0.3}, {"a": 0.7, "b": 0.2, "c": 0.4, "d": 0.6}]
     prov = [{"trained_on": "s0", "digest": "d0"}, {"trained_on": "s1", "digest": "d1"}]
-    return build_pair_manifest("pool", ids, table, prov, 8, 3, keep_per_model)
+    man = build_pair_manifest("pool", ids, table, prov, 8, 3)
+    if not loaded:
+        return man
+    save_pair_manifest(man, str(tmp_path / "view.csv"))
+    back = load_pair_manifest(str(tmp_path / "view.csv"))
+    assert back.samples == man.samples and back.ids != man.ids
+    return back
 
 
-@pytest.mark.parametrize("keep_per_model", [False, True])
-def test_samples_view_reads_rows_and_writes_through(tmp_path, keep_per_model):
-    man = _view_manifest(keep_per_model)
+@pytest.mark.parametrize("loaded", [False, True])
+def test_samples_view_reads_rows_and_writes_through(tmp_path, loaded):
+    man = _view_manifest(tmp_path, loaded)
     rows = man.samples
     assert isinstance(rows, list) and len(rows) == 8
     assert all(isinstance(s, PairSample) for s in rows)
@@ -548,11 +529,10 @@ def test_samples_view_reads_rows_and_writes_through(tmp_path, keep_per_model):
     for k, s in enumerate(rows):
         assert (s.x_id, s.y_id) == (man.ids[man.x[k]], man.ids[man.y[k]])
         assert s.p_r == man.p_r[k]
-        assert s.per_model == (tuple(man.per_model[k]) if keep_per_model else None)
-    assert man.samples == [PairSample(s.x_id, s.y_id, s.p_r, s.per_model) for s in rows]
+    assert man.samples == [PairSample(s.x_id, s.y_id, s.p_r) for s in rows]
     assert man.samples != rows[::-1]
     # an assigned row lands in the columns, new ids included
-    new = PairSample("e", "a", 0.25, (0.5, 0.0) if keep_per_model else None)
+    new = PairSample("e", "a", 0.25)
     man.samples[1] = new
     assert man.samples[1] == new and man.samples[:1] + man.samples[2:] == rows[:1] + rows[2:]
     assert man.ids[-1] == "e" and man.p_r[1] == 0.25
@@ -565,20 +545,17 @@ def test_samples_view_reads_rows_and_writes_through(tmp_path, keep_per_model):
         man.validate()
 
 
-@pytest.mark.parametrize("keep_per_model", [False, True])
-def test_samples_view_refuses_rows_that_do_not_fit(tmp_path, keep_per_model):
-    man = _view_manifest(keep_per_model)
+@pytest.mark.parametrize("loaded", [False, True])
+def test_samples_view_refuses_rows_that_do_not_fit(tmp_path, loaded):
+    man = _view_manifest(tmp_path, loaded)
     before = man.samples
-    for per_model in ((0.5,), (0.5, 0.5, 0.5), None if keep_per_model else (0.5, 0.5)):
-        with pytest.raises(PseudoLabelError, match="per-model width"):
-            man.samples[0] = PairSample("a", "b", 0.5, per_model)
     with pytest.raises(IndexError):
         man.samples[8] = before[0]
     with pytest.raises(TypeError):
         man.samples[0:2] = before[0]
     assert man.samples == before
     # an id holding a comma reaches the columns, and save refuses it
-    man.samples[0] = PairSample("a,b", "c", 0.6, (0.6, 0.6) if keep_per_model else None)
+    man.samples[0] = PairSample("a,b", "c", 0.6)
     with pytest.raises(PseudoLabelError, match="'a,b,c,0.6"):
         save_pair_manifest(man, str(tmp_path / "p.csv"))
     assert not (tmp_path / "p.csv").exists()
@@ -595,8 +572,6 @@ def _reference_validate(manifest):
             raise PseudoLabelError(f"self-pair {s.x_id!r}")
         if not 0.0 < s.p_r < 1.0:
             raise PseudoLabelError(f"pair ({s.x_id}, {s.y_id}): p_r {s.p_r}")
-        if not all(0.0 <= p <= 1.0 for p in s.per_model or ()):
-            raise PseudoLabelError(f"pair ({s.x_id}, {s.y_id}): per_model {s.per_model}")
         key = (s.x_id, s.y_id)
         if key in seen:
             raise PseudoLabelError(f"duplicate ordered pair {key}")
@@ -612,14 +587,8 @@ def _error(fn, *args):
 
 
 def test_validate_names_the_first_bad_pair_as_the_per_pair_loop_does():
-    for width in (0, 2):  # without and with per-model columns
-        _check_validate_against_the_per_pair_loop(width)
-
-
-def _check_validate_against_the_per_pair_loop(width):
     rng = SplitMix64(17)
     ids = [f"i{k}" for k in range(40)]
-    ensemble = [{"trained_on": f"s{j}", "digest": f"d{j}"} for j in range(width)]
     bad_labels = [0.0, 1.0, -0.5, 1.5, float("nan"), float("inf")]
     errors = set()
     for _ in range(400):
@@ -627,42 +596,45 @@ def _check_validate_against_the_per_pair_loop(width):
         rows = []
         for w in words[:12]:
             p = 0.1 + 0.8 * ((w >> 16) % 97) / 97
-            rows.append(PairSample(ids[w % 40], ids[(w % 40 + 1 + (w >> 8) % 39) % 40], p,
-                                   (p, 1 - p)[:width] or None))
+            rows.append(PairSample(ids[w % 40], ids[(w % 40 + 1 + (w >> 8) % 39) % 40], p))
         for w in words[12:12 + words[63] % 4]:  # damage up to three rows
-            k, other, kind = w % 12, rows[(w >> 8) % 12], (w >> 16) % (4 if width else 3)
-            x, y, p, pm = rows[k].x_id, rows[k].y_id, rows[k].p_r, rows[k].per_model
+            k, other, kind = w % 12, rows[(w >> 8) % 12], (w >> 16) % 3
+            x, y, p = rows[k].x_id, rows[k].y_id, rows[k].p_r
             bad = bad_labels[(w >> 24) % 6]
-            rows[k] = [PairSample(x, y, bad, pm), PairSample(x, x, p, pm),
-                       PairSample(other.x_id, other.y_id, p, pm),
-                       PairSample(x, y, p, pm and (pm[0], bad))][kind]
-        man = manifest_of("pool", 12, 0, ensemble, rows)
+            rows[k] = [PairSample(x, y, bad), PairSample(x, x, p),
+                       PairSample(other.x_id, other.y_id, p)][kind]
+        man = manifest_of("pool", 12, 0, [], rows)
         want = _error(_reference_validate, man)
         assert _error(man.validate) == want
         parts = (want or "none").split(" ")
         errors.add(parts[3] if parts[0] == "pair" else parts[0])
-    assert errors == {"none", "self-pair", "p_r", "duplicate"} | ({"per_model"} if width else set())
-    assert _error(manifest_of("pool", 13, 0, ensemble, rows).validate) == "n_pairs 13 != 12 samples"
+    assert errors == {"none", "self-pair", "p_r", "duplicate"}
+    assert _error(manifest_of("pool", 13, 0, [], rows).validate) == "n_pairs 13 != 12 samples"
 
 
 # ---- the paper's scale: 999,000 pairs, bytes pinned ----------------------
 
-# sha256 of the pair CSV (by keep_per_model) and of its sidecar as the
-# per-pair PairSample code wrote them for these inputs; recorded with that
-# code, which built each pair's row in Python, before the columnar manifest
-_PAPER_CSV = {
-    False: "fc8ec189af148d3af3272d6b8db51a39e737c6141f125735adc4b51e20c6c4fe",
-    True: "d504046b3b80a47feaab59ba08fc328bbf4d54e76830e97933529139c794c64a",
-}
+# sha256 of the pair CSV and of its sidecar as the per-pair PairSample code
+# wrote them for these inputs; recorded with that code, which built each
+# pair's row in Python, before the columnar manifest
+_PAPER_CSV = "fc8ec189af148d3af3272d6b8db51a39e737c6141f125735adc4b51e20c6c4fe"
 _PAPER_SIDECAR = "0b14a06ce6be91b46bbaa2940758b1335a0025d2e79859265bd645123b1ab069"
+# sha256 of each teacher's own pair CSV (that model alone, same seed): the
+# x_id, y_id and p_r_<j> columns of the former per-model file, whose sha256
+# was d504046b...c64a, cut out as an x_id,y_id,p_r file
+_PAPER_TEACHER_CSV = [
+    "84a964e683267b9ef3241ab479a045630d99edd2e80621bd1722581de0fb1a67",
+    "4e0fd7730bd1d94f01bb9e2b622b500d4443f400c508713ddc2839d1e3fe4156",
+    "b0bf831060b8abd2c3ff3cf217bf33fef44b034d79cd1885301f2ba3d54a9275",
+]
 # sha256 of sigmoid(q_x - q_y) over every ordered pair of each model where
 # those digests were recorded; numpy's exp kernel can round differently on
 # other CPUs or builds, and then the pinned bytes cannot be expected
 _PAPER_SIGMOID = "3849eda1b8d971207174f98aa3b933304564971ec8ad97859440f8e694bbd760"
 
 
-@pytest.mark.parametrize("keep_per_model", [False, True])
-def test_paper_scale_pair_file_bytes_are_pinned(tmp_path, keep_per_model):
+@pytest.mark.parametrize("single_teachers", [False, True])
+def test_paper_scale_pair_file_bytes_are_pinned(tmp_path, single_teachers):
     ids = [f"img{i:04d}" for i in range(1000)]
     table = _spread_table(ids, (1.0, 2.0, 0.5))
     q = np.array([[t[i] for i in ids] for t in table])
@@ -670,8 +642,14 @@ def test_paper_scale_pair_file_bytes_are_pinned(tmp_path, keep_per_model):
     if hashlib.sha256(probe).hexdigest() != _PAPER_SIGMOID:
         pytest.skip("this numpy's exp rounds sigmoid(q_x - q_y) unlike the recording machine")
     prov = [{"trained_on": f"s{j}", "digest": f"d{j}"} for j in range(3)]
-    man = build_pair_manifest("pool", ids, table, prov, 999_000, 11, keep_per_model)
-    assert man.n_pairs == len(man.p_r) == 1000 * 999
-    save_pair_manifest(man, str(tmp_path / "p.csv"))
-    for name, want in (("p.csv", _PAPER_CSV[keep_per_model]), ("p.json", _PAPER_SIDECAR)):
-        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want
+    if single_teachers:
+        pins = [(j, [table[j]], [prov[j]], want) for j, want in enumerate(_PAPER_TEACHER_CSV)]
+    else:
+        pins = [("all", table, prov, _PAPER_CSV)]
+    for name, members, provenance, want in pins:
+        man = build_pair_manifest("pool", ids, members, provenance, 999_000, 11)
+        assert man.n_pairs == len(man.p_r) == 1000 * 999
+        save_pair_manifest(man, str(tmp_path / f"{name}.csv"))
+        assert hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest() == want
+    if not single_teachers:
+        assert hashlib.sha256((tmp_path / "all.json").read_bytes()).hexdigest() == _PAPER_SIDECAR
