@@ -182,7 +182,7 @@ def _cmd_eval(args) -> dict:
     report = cross_dataset_matrix([model], [load_manifest(args.dataset)])[0][0]
     log.info("%s on %s: SRCC %.4f PLCC %.4f",
              model.name, report.dataset, report.srcc, report.plcc)
-    return report.to_dict()
+    return dataclasses.asdict(report)
 
 
 def _cmd_cross_eval(args) -> dict:

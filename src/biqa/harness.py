@@ -2,9 +2,10 @@
 
 Pipeline: generate biased synthetic datasets plus an unlabeled pool, train
 one scorer per dataset, pseudo-label random pool pairs with the scorer
-ensemble, train a final scorer on those pairs, then evaluate everything on
-every dataset (against ground truth and against each dataset's own biased
-labels), plus pair-count and ensemble-composition ablations.
+ensemble, train a final scorer on those pairs, then report each stage-1
+scorer's and the final scorer's SRCC and PLCC on every dataset (against
+ground truth and against each dataset's own biased labels), plus
+pair-count and ensemble-composition ablations.
 
 Every stage runs through ExperimentRunner._stage and its run_* returns
 what the stage loaded; later stages call it again. Models and pair
@@ -83,8 +84,9 @@ log = logging.getLogger("biqa.harness")
 
 SCHEMA_VERSION = 1
 # signed into every report stage; bump it whenever metric or report code
-# changes what a report holds
-REPORT_VERSION = 1
+# changes what a report holds (2: cross-eval.json lost its q*-vs-q* row
+# and every cell its always-null "seed")
+REPORT_VERSION = 2
 
 
 class HarnessError(Exception):
@@ -682,13 +684,6 @@ class ExperimentRunner:
             ]
             vs_qstar = cross_dataset_matrix(rows, qstar_sets)
             vs_labels = cross_dataset_matrix(rows, [manifests[n] for n in names])
-            qstar_all = {i: q for m in qstar_sets for i, q in m.labels.items()}
-            oracle = ScoredModel(
-                name="oracle",
-                trained_on="ground-truth",
-                score_fn=lambda records: np.array([qstar_all[r.id] for r in records]),
-            )
-            oracle_row = cross_dataset_matrix([oracle], qstar_sets)[0]
             report = {
                 "schema": SCHEMA_VERSION,
                 "inputs": {
@@ -697,7 +692,6 @@ class ExperimentRunner:
                 },
                 "vs_qstar": matrix_to_json(vs_qstar),
                 "vs_labels": matrix_to_json(vs_labels),
-                "oracle_vs_qstar": [cell.to_dict() for cell in oracle_row],
                 "aggregates": self._aggregates(vs_qstar),
             }
             return {
@@ -714,21 +708,20 @@ class ExperimentRunner:
         return self._report("cross-eval", models, build)
 
     def _aggregates(self, vs_qstar: list[list[EvalReport]]) -> dict:
-        names = self.config.dataset_names
-        out: dict = {"stage1": {}, "cdr": {}}
-        for row in vs_qstar:
-            cells = {c.dataset: c.srcc for c in row}
-            mean_all = float(np.mean(list(cells.values())))
-            if row[0].trained_on in names:
-                diag = cells[row[0].trained_on]
-                off = [v for k, v in cells.items() if k != row[0].trained_on]
-                out["stage1"][row[0].model] = {
-                    "diag_srcc": diag,
-                    "offdiag_mean_srcc": float(np.mean(off)),
-                    "mean_srcc": mean_all,
-                }
-            else:
-                out["cdr"] = {"mean_srcc": mean_all, "per_dataset": cells}
+        # rows as run_cross_eval builds them: the stage-1 model of dataset i
+        # (so its diagonal cell is cell i), then the CDR model
+        *s1_rows, cdr_row = vs_qstar
+        out: dict = {"stage1": {}}
+        for i, row in enumerate(s1_rows):
+            cells = [c.srcc for c in row]
+            out["stage1"][row[i].model] = {
+                "diag_srcc": cells[i],
+                "offdiag_mean_srcc": float(np.mean(cells[:i] + cells[i + 1:])),
+                "mean_srcc": float(np.mean(cells)),
+            }
+        per_dataset = {c.dataset: c.srcc for c in cdr_row}
+        out["cdr"] = {"mean_srcc": float(np.mean(list(per_dataset.values()))),
+                      "per_dataset": per_dataset}
         return out
 
     def _ablation(self, axis: str, header: dict, table: str, rows: list) -> dict:

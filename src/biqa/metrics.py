@@ -87,56 +87,42 @@ def srcc(x, y) -> float:
         raise MetricError("srcc: zero rank variance (all values tied)")
 
 
-@dataclass(frozen=True)
-class LogisticParams:
-    b1: float
-    b2: float
-    b3: float
-    b4: float
-    b5: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.b1, self.b2, self.b3, self.b4, self.b5])
-
-    def to_list(self) -> list[float]:
-        return [float(v) for v in self.as_array()]
-
-
-def _remap(x: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The remap's sigmoid and value at x for a (b1..b5) array:
+def _remap(x: np.ndarray, beta) -> tuple[np.ndarray, np.ndarray]:
+    """The remap's sigmoid and value at x for the five floats b1..b5:
     b1*(1/2 - 1/(1+exp(b2*(x-b3)))) + b4*x + b5, overflow-safe."""
     sig = np.asarray(stable_sigmoid(beta[1] * (x - beta[2])))
     return sig, beta[0] * (sig - 0.5) + beta[3] * x + beta[4]
 
 
-def logistic_map(s_hat, betas: LogisticParams):
-    """The fitted remap applied to predictions (an array or one value)."""
-    out = _remap(np.asarray(s_hat, dtype=np.float64), betas.as_array())[1]
+def logistic_map(s_hat, betas):
+    """The remap at b1..b5 (any sequence of five floats, such as
+    fit_logistic's list) applied to predictions (an array or one value)."""
+    out = _remap(np.asarray(s_hat, dtype=np.float64), betas)[1]
     return out if out.ndim else float(out)
 
 
 def _logistic_terms(
-    x: np.ndarray, y: np.ndarray, beta: np.ndarray
+    x: np.ndarray, y: np.ndarray, beta
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Sigmoid, residual and SSE of the remap at a beta array."""
+    """Sigmoid, residual and SSE of the remap at b1..b5."""
     sig, mapped = _remap(x, beta)
     residual = mapped - y
     return sig, residual, float(residual @ residual)
 
 
-def _affine_fit(preds: np.ndarray, mos: np.ndarray) -> LogisticParams:
+def _affine_fit(preds: np.ndarray, mos: np.ndarray) -> list[float]:
     design = np.stack([preds, np.ones_like(preds)], axis=1)
     (a, b), *_ = np.linalg.lstsq(design, mos, rcond=None)
-    return LogisticParams(0.0, 1.0, float(preds.mean()), float(a), float(b))
+    return [0.0, 1.0, float(preds.mean()), float(a), float(b)]
 
 
-def fit_logistic(preds, mos) -> LogisticParams:
+def fit_logistic(preds, mos) -> list[float]:
     """Least-squares fit of the five-parameter logistic remap.
 
     Damped Gauss-Newton with the conventional warm start (amplitude from
     the label range, slope 4/std of the predictions, center at the
-    prediction mean). Never returns a fit worse in SSE than the plain
-    affine fallback.
+    prediction mean). Returns b1..b5 as five floats, never a fit worse in
+    SSE than the plain affine fallback.
     """
     x, y = _check_pair(preds, mos, "fit_logistic")
     if x.size < MIN_FIT_POINTS:
@@ -145,7 +131,7 @@ def fit_logistic(preds, mos) -> LogisticParams:
     if sx == 0.0:
         raise MetricError("fit_logistic: zero variance in predictions")
     affine = _affine_fit(x, y)
-    sse_affine = _logistic_terms(x, y, affine.as_array())[2]
+    sse_affine = _logistic_terms(x, y, affine)[2]
     if float(y.std()) == 0.0:
         return affine
     sign = 1.0 if pearson(x, y) >= 0.0 else -1.0
@@ -201,10 +187,10 @@ def fit_logistic(preds, mos) -> LogisticParams:
                 break
     if not np.all(np.isfinite(beta)) or sse > sse_affine:
         return affine
-    return LogisticParams(*(float(v) for v in beta))
+    return [float(v) for v in beta]
 
 
-def plcc(preds, mos) -> tuple[float, LogisticParams]:
+def plcc(preds, mos) -> tuple[float, list[float]]:
     """Pearson correlation after the fitted remap, times the remap's
     direction: the sign of f(max pred) - f(min pred), or of the raw
     Pearson r where those tie. So plcc(-x, y) == -plcc(x, y)."""
@@ -224,17 +210,10 @@ class EvalReport:
     srcc: float
     plcc: float
     raw_pearson: float
-    betas: LogisticParams
-    # always None; kept so every report cell keeps its "seed": null bytes
-    seed: None = None
-
-    def to_dict(self) -> dict:
-        return asdict(self) | {"betas": self.betas.to_list()}
+    betas: list[float]
 
 
-def evaluate(
-    preds, mos, model: str = "", trained_on: str = "", dataset: str = ""
-) -> EvalReport:
+def evaluate(preds, mos, model: str, trained_on: str, dataset: str) -> EvalReport:
     """SRCC + logistic-remapped PLCC + raw Pearson on one prediction set."""
     p = np.asarray(preds, dtype=np.float64)
     plcc_value, betas = plcc(p, mos)
@@ -292,4 +271,4 @@ def render_matrix_csv(matrix: list[list[EvalReport]]) -> str:
 
 
 def matrix_to_json(matrix: list[list[EvalReport]]) -> list[list[dict]]:
-    return [[cell.to_dict() for cell in row] for row in matrix]
+    return [[asdict(cell) for cell in row] for row in matrix]

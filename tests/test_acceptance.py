@@ -22,7 +22,6 @@ import pytest
 from biqa.dataset import load_manifest, rescale_mos, split_dataset
 from biqa.harness import ExperimentRunner, crop_scorer, reference_config, signature_of
 from biqa.metrics import (
-    LogisticParams,
     fit_logistic,
     logistic_map,
     pearson,
@@ -192,7 +191,7 @@ def test_acceptance_03_metric_oracles(capsys):
 
     rng = SplitMix64(33)
     s = rng.uniform_block(150)
-    labels = logistic_map(s, LogisticParams(1.0, 4.0, 0.5, 0.1, 0.2))
+    labels = logistic_map(s, (1.0, 4.0, 0.5, 0.1, 0.2))
     labels = labels + 0.02 * rng.normal_block(150)
     p0, _ = plcc(s, labels)
     p1, _ = plcc(2.0 * s + 1.0, labels)
@@ -210,7 +209,7 @@ def test_acceptance_03_metric_oracles(capsys):
 
 def test_acceptance_04_logistic_recovery(capsys):
     t0 = time.perf_counter()
-    betas = LogisticParams(1.0, 4.0, 0.5, 0.1, 0.2)
+    betas = (1.0, 4.0, 0.5, 0.1, 0.2)
     rng = SplitMix64(2)
     s = rng.uniform_block(200)
     y = logistic_map(s, betas)

@@ -18,7 +18,7 @@ from biqa.dataset import (
     render_csv,
     write_manifest_csv,
 )
-from biqa.metrics import EvalReport, LogisticParams, MetricError, render_matrix_csv
+from biqa.metrics import EvalReport, MetricError, render_matrix_csv
 from biqa.png_io import write_png
 from biqa.pseudolabel import (
     PairManifest,
@@ -223,7 +223,7 @@ def test_pair_manifest_bytes(tmp_path, single_teacher, text):
 
 def test_matrix_bytes():
     def cell(model, trained_on, dataset, srcc, plcc):
-        betas = LogisticParams(0.0, 1.0, 0.0, 1.0, 0.0)
+        betas = (0.0, 1.0, 0.0, 1.0, 0.0)
         return EvalReport(model, trained_on, dataset, 10, srcc, plcc, plcc, betas)
 
     matrix = [

@@ -8,7 +8,6 @@ from biqa.metrics import (
     LM_LAMBDA0,
     LM_MAX_ITER,
     LM_REL_TOL,
-    LogisticParams,
     MetricError,
     ScoredModel,
     cross_dataset_matrix,
@@ -114,7 +113,7 @@ def test_srcc_all_tied_raises():
         srcc([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
 
 
-_BETAS = LogisticParams(1.0, 4.0, 0.5, 0.1, 0.2)
+_BETAS = (1.0, 4.0, 0.5, 0.1, 0.2)
 
 
 def test_logistic_map_spot_values():
@@ -127,7 +126,7 @@ def test_logistic_map_spot_values():
 
 
 def test_logistic_map_overflow_safe():
-    steep = LogisticParams(1.0, 1e6, 0.0, 0.0, 0.0)
+    steep = (1.0, 1e6, 0.0, 0.0, 0.0)
     out = logistic_map(np.array([-1e3, 1e3]), steep)
     assert np.allclose(out, [-0.5, 0.5])
 
@@ -185,7 +184,7 @@ def _reference_fit_logistic(preds, mos):
 
     design = np.stack([x, np.ones_like(x)], axis=1)
     (a, b), *_ = np.linalg.lstsq(design, y, rcond=None)
-    affine = LogisticParams(0.0, 1.0, float(x.mean()), float(a), float(b))
+    affine = [0.0, 1.0, float(x.mean()), float(a), float(b)]
     if float(y.std()) == 0.0:
         return affine, "affine", 0
     sign = 1.0 if pearson(x, y) >= 0.0 else -1.0
@@ -198,7 +197,7 @@ def _reference_fit_logistic(preds, mos):
             float(y.mean()),
         ]
     )
-    sse = sse_of(LogisticParams(*beta))
+    sse = sse_of(beta)
     lam = LM_LAMBDA0
     ended, rejected = "max_iter", 0
     for _ in range(LM_MAX_ITER):
@@ -209,7 +208,7 @@ def _reference_fit_logistic(preds, mos):
             [sig - 0.5, b1 * slope * (x - b3), -b1 * slope * b2, x, np.ones_like(x)],
             axis=1,
         )
-        residual = logistic_map(x, LogisticParams(*beta)) - y
+        residual = logistic_map(x, beta) - y
         hess = jac.T @ jac
         grad = jac.T @ residual
         damped = hess + lam * np.diag(np.maximum(np.diag(hess), 1e-12))
@@ -220,7 +219,7 @@ def _reference_fit_logistic(preds, mos):
             rejected += 1
             continue
         trial = beta + delta
-        sse_trial = sse_of(LogisticParams(*trial))
+        sse_trial = sse_of(trial)
         if np.isfinite(sse_trial) and sse_trial < sse:
             improved = (sse - sse_trial) / max(sse, 1e-300)
             beta, sse = trial, sse_trial
@@ -236,7 +235,7 @@ def _reference_fit_logistic(preds, mos):
                 break
     if not np.all(np.isfinite(beta)) or sse > sse_of(affine):
         return affine, "affine", rejected
-    return LogisticParams(*(float(v) for v in beta)), ended, rejected
+    return [float(v) for v in beta], ended, rejected
 
 
 def test_fit_logistic_bit_identical_to_reference():
@@ -247,12 +246,12 @@ def test_fit_logistic_bit_identical_to_reference():
             s = rng.uniform_block(n)
             for y in (
                 rng.uniform_block(n),  # noise
-                logistic_map(s, LogisticParams(2.0, 8.0, 0.5, 0.3, 1.0))
+                logistic_map(s, (2.0, 8.0, 0.5, 0.3, 1.0))
                 + 0.01 * rng.normal_block(n),
                 2.0 * s + 0.001 * rng.normal_block(n),  # nearly affine
             ):
                 ref, how, rej = _reference_fit_logistic(s, y)
-                assert fit_logistic(s, y).to_list() == ref.to_list(), (seed, n, how)
+                assert fit_logistic(s, y) == ref, (seed, n, how)
                 ended.add(how)
                 rejected += rej
     # the grid reaches every way the loop can end, through rejected steps
@@ -264,10 +263,10 @@ def test_fit_logistic_five_point_minimum_and_affine_fallback():
     s = np.array([0.1, 0.4, 0.2, 0.9, 0.6])
     for y in (np.sqrt(s), np.full(5, 0.3), -s):
         ref, _, _ = _reference_fit_logistic(s, y)
-        assert fit_logistic(s, y).to_list() == ref.to_list()
+        assert fit_logistic(s, y) == ref
     # constant labels: the affine fit, returned as is
     const = fit_logistic(s, np.full(5, 0.3))
-    assert const.b1 == 0.0 and const.b2 == 1.0 and const.b4 == pytest.approx(0.0)
+    assert const[0] == 0.0 and const[1] == 1.0 and const[3] == pytest.approx(0.0)
     with pytest.raises(MetricError, match="at least 5"):
         fit_logistic(s[:4], s[:4])
 
@@ -307,11 +306,10 @@ def test_evaluate_populates_report():
     preds = rng.uniform_block(60)
     mos = preds * 0.5 + 0.1 * rng.normal_block(60)
     rep = evaluate(preds, mos, model="m", trained_on="a", dataset="b")
-    assert (rep.model, rep.trained_on, rep.dataset, rep.seed) == ("m", "a", "b", None)
+    assert (rep.model, rep.trained_on, rep.dataset) == ("m", "a", "b")
     assert rep.n == 60
     assert rep.srcc == srcc(preds, mos)
-    assert rep.betas is not None
-    d = rep.to_dict()
+    d = matrix_to_json([[rep]])[0][0]
     expected = {
         "model": "m",
         "trained_on": "a",
@@ -320,11 +318,10 @@ def test_evaluate_populates_report():
         "srcc": rep.srcc,
         "plcc": rep.plcc,
         "raw_pearson": rep.raw_pearson,
-        "betas": rep.betas.to_list(),
-        "seed": None,
+        "betas": rep.betas,
     }
     assert d == expected and list(d) == list(expected)
-    assert all(type(v) is float for v in d["betas"])
+    assert len(d["betas"]) == 5 and all(type(v) is float for v in d["betas"])
 
 
 def _manifest(name, n, seed):
