@@ -166,12 +166,11 @@ def _cmd_train_cdr(args) -> dict:
     train_cfg = _train_config(args.train_config, reference_config().stage3, args.seed)
     store = central_crop_store(images.records, scorer_cfg.patch_size)
     params = train_pairwise(pair_manifest, store, scorer_cfg, train_cfg)
-    params.meta = {"trained_on": images.name, "n_pairs": pair_manifest.n_pairs}
     save_params(params, args.out)
     return {
         "model": args.out,
         "digest": params_digest(params),
-        "trained_on": images.name,
+        "trained_on": params.meta["trained_on"],
         "n_pairs": pair_manifest.n_pairs,
     }
 

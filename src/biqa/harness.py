@@ -8,13 +8,13 @@ ground truth and against each dataset's own biased labels), plus
 pair-count and ensemble-composition ablations.
 
 Every stage runs through ExperimentRunner._stage and its run_* returns
-what the stage loaded; later stages call it again. Models and pair
-manifests are content-addressed (the first 12 hex chars of the file's
-sha256 appear in its name); data files and reports have fixed names.
-Every artifact's hash is recorded in state.json per stage together with
-a signature over that stage's configuration and input hashes. A stage is
-recorded only after all its artifacts are in place, so a run interrupted
-mid-stage rebuilds that stage on resume. Every file (images, dataset
+what the stage loaded; later stages call it again. Every artifact is
+named by its stage key alone (as models/cdr-<tag>-n<N>.bin), so a rebuild
+overwrites it. Every artifact's hash is recorded in state.json per stage
+together with a signature over that stage's configuration and input
+hashes. A stage that runs drops its record, then records again only once
+all its artifacts are in place, so a run interrupted mid-stage rebuilds
+that stage on resume. Every file (images, dataset
 CSVs, models, pair manifests, reports and state) lands through
 png_io.write_atomic, a temp file and a rename, so none is ever
 half-written. One rule, ExperimentState.entry, builds a file's or a
@@ -405,9 +405,10 @@ class ExperimentRunner:
 
         The stage is signed over {"stage": name} | payload. When it is
         unrecorded, --force is set or its signature changed, one INFO line
-        says which, and build() writes its artifacts and returns their
-        state entries, which are recorded only after it returns. Otherwise
-        every recorded artifact is verified once; a mismatch is refused.
+        says which, its old record goes, and build() writes its artifacts
+        and returns their state entries, recorded only after it returns.
+        Otherwise every recorded artifact is verified once; a mismatch is
+        refused.
         """
         if name not in self._memo:
             signature = signature_of({"stage": name} | payload)
@@ -422,6 +423,9 @@ class ExperimentRunner:
                 reason = None
             if reason:
                 log.info("stage %s: runs, %s", name, reason)
+                if stage is not None:  # build() overwrites the files it describes
+                    del self.state.data["stages"][name]
+                    self.state.save()
                 self.state.record(name, signature, build())
             elif not self.state.outputs_ok(name):
                 raise HarnessError(
@@ -444,10 +448,9 @@ class ExperimentRunner:
         return h.hexdigest()
 
     def _save_model(self, params: ScorerParams, stem: str) -> dict:
-        digest = sha256_bytes(serialize_params(params))
-        rel = f"models/{stem}-{digest[:12]}.bin"
+        rel = f"models/{stem}.bin"
         save_params(params, os.path.join(self.out_dir, rel))
-        return {"path": rel, "sha256": digest}
+        return {"path": rel, "sha256": sha256_bytes(serialize_params(params))}
 
     def _load_models(self, output, keys: list[str]) -> dict[str, dict]:
         models = {}
@@ -567,17 +570,11 @@ class ExperimentRunner:
                     pairs_seed,
                 )
                 for n in rungs:
-                    # the final names hold the CSV's digest: save, hash, rename
-                    tmp = os.path.join(self.out_dir, "pairs", f".tmp-{tag}-n{n}")
                     rung = replace(full, n_pairs=n, x=full.x[:n], y=full.y[:n], p_r=full.p_r[:n])
-                    save_pair_manifest(rung, tmp + ".csv")
-                    digest = sha256_file(tmp + ".csv")
-                    rel = f"pairs/pairs-{tag}-n{n}-{digest[:12]}"
-                    for ext in (".csv", ".json"):
-                        os.replace(tmp + ext, os.path.join(self.out_dir, rel + ext))
-                    key = f"{tag}:n{n}"
-                    outputs[f"pairs:{key}"] = {"path": rel + ".csv", "sha256": digest}
-                    outputs[f"pairs-meta:{key}"] = self.state.entry(rel + ".json")
+                    rel = f"pairs/pairs-{tag}-n{n}"
+                    save_pair_manifest(rung, os.path.join(self.out_dir, rel + ".csv"))
+                    for label, ext in (("pairs", ".csv"), ("pairs-meta", ".json")):
+                        outputs[f"{label}:{tag}:n{n}"] = self.state.entry(rel + ext)
             return outputs
 
         payload = {
@@ -612,11 +609,7 @@ class ExperimentRunner:
                 os.path.join(self.out_dir, pair_entries[key]["path"])
             )
             params = train_pairwise(pairs, crops, config.scorer, tcfg)
-            params.meta = {
-                "trained_on": config.pool.name,
-                "ensemble": tag,
-                "n_pairs": n,
-            }
+            params.meta["ensemble"] = tag
             return f"model:{key}", self._save_model(params, f"cdr-{tag}-n{n}")
 
         payload = {

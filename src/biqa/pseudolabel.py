@@ -150,12 +150,12 @@ class PairManifest(PairSidecar):
             raise PseudoLabelError("a pair manifest needs at least one pair")
         again = np.ones(n, dtype=bool)  # np.unique's stable sort finds each pair's first
         again[np.unique(self.x * len(self.ids) + self.y, return_index=True)[1]] = False
-        bad = (self.x == self.y) | ~((self.p_r > 0.0) & (self.p_r < 1.0)) | again
+        bad = (self.x == self.y) | ~((self.p_r >= 0.0) & (self.p_r <= 1.0)) | again
         if bad.any():  # report the first bad pair as a per-pair check would
             s = self.row(int(bad.argmax()))
             if s.x_id == s.y_id:
                 raise PseudoLabelError(f"self-pair {s.x_id!r}")
-            if not 0.0 < s.p_r < 1.0:
+            if not 0.0 <= s.p_r <= 1.0:
                 raise PseudoLabelError(f"pair ({s.x_id}, {s.y_id}): p_r {s.p_r}")
             raise PseudoLabelError(f"duplicate ordered pair {(s.x_id, s.y_id)}")
 

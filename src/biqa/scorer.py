@@ -147,10 +147,10 @@ def _conv_geometry(config: ScorerConfig) -> list[dict]:
     floor-half to the top/left, remainder to the bottom/right, and the
     padded rows (and columns) are np.pad's "reflect" of the input's.
 
-    `cols_idx` holds the source pixel of each (output position, kernel
-    tap); `take_idx` expands it over the input channels into an index of
-    one image's flat (pixel, channel) values, in (position, tap, channel)
-    order, which is the im2col row layout.
+    `take_idx` indexes one image's flat (pixel, channel) values with the
+    source pixel of each (output position, kernel tap), expanded over the
+    input channels, in (position, tap, channel) order, which is the im2col
+    row layout.
     """
     layers = []
     size = config.patch_size
@@ -166,9 +166,7 @@ def _conv_geometry(config: ScorerConfig) -> list[dict]:
         # flat source index for each (output position, kernel tap)
         idx = (taps[:, None, :, None] * size + taps[None, :, None, :]).reshape(out * out, 9)
         take_idx = (idx[:, :, None] * cin + np.arange(cin)).ravel()
-        layers.append(
-            {"in_size": size, "out_size": out, "cols_idx": idx, "take_idx": take_idx}
-        )
+        layers.append({"in_size": size, "out_size": out, "take_idx": take_idx})
         size = out
         cin = cout
     return layers

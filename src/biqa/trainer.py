@@ -179,7 +179,7 @@ def adamw_step(
     params -= lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS) + weight_decay * params)
 
 
-def _fit(stage, scorer_config, train_config, n_items, epoch_batches):
+def _fit(stage, scorer_config, train_config, n_items, epoch_batches, meta):
     """The loop both stages share, over n_items rows per epoch.
 
     epoch_batches(params, data_rng, epoch) draws one epoch's data, then
@@ -189,6 +189,7 @@ def _fit(stage, scorer_config, train_config, n_items, epoch_batches):
     and re-fault their pages, which slowed stage 3 by ~40%.
     """
     params = init_params(scorer_config, derive_seed(train_config.seed, "init"))
+    params.meta = meta
     data_rng = SplitMix64(derive_seed(train_config.seed, "data"))
     state = OptimState.zeros(params.values.size)
     size = train_config.batch_size
@@ -253,9 +254,8 @@ def train_single(
             yield loss, backward(trace, params, dloss)
 
     n_samples = len(split.train_ids) * train_config.patches_per_image
-    params = _fit("train-single", scorer_config, train_config, n_samples, epoch_batches)
-    params.meta = dict(params.meta, trained_on=manifest.name)
-    return params
+    return _fit("train-single", scorer_config, train_config, n_samples, epoch_batches,
+                {"trained_on": manifest.name})
 
 
 def train_pairwise(
@@ -274,11 +274,11 @@ def train_pairwise(
         raise TrainerError("empty pair manifest")
     crops = [image_store.get(image_id) for image_id in pair_manifest.ids]
     known = np.array([crop is not None for crop in crops], dtype=bool)
-    bad = ~((p_r > 0.0) & (p_r < 1.0) & known[x] & known[y])
+    bad = ~((p_r >= 0.0) & (p_r <= 1.0) & known[x] & known[y])
     if bad.any():
         s = pair_manifest.row(int(bad.argmax()))
-        if not 0.0 < s.p_r < 1.0:
-            raise TrainerError(f"pair ({s.x_id}, {s.y_id}) has label {s.p_r} outside (0, 1)")
+        if not 0.0 <= s.p_r <= 1.0:
+            raise TrainerError(f"pair ({s.x_id}, {s.y_id}) has label {s.p_r} outside [0, 1]")
         unknown = s.y_id if s.x_id in image_store else s.x_id
         raise TrainerError(f"pair manifest references unknown id {unknown!r}")
 
@@ -306,4 +306,5 @@ def train_pairwise(
             grads += backward(trace_y, params, -upstream)
             yield loss, grads
 
-    return _fit("train-pairwise", scorer_config, train_config, len(p_r), epoch_batches)
+    meta = {"trained_on": pair_manifest.pool, "n_pairs": pair_manifest.n_pairs}
+    return _fit("train-pairwise", scorer_config, train_config, len(p_r), epoch_batches, meta)

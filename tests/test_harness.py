@@ -535,10 +535,35 @@ def test_different_master_seed_changes_models(tiny_run, tmp_path):
     out, _ = tiny_run
     other = str(tmp_path / "reseeded")
     ExperimentRunner(_tiny_config().with_master_seed(9), other, threads=1).run_all()
-    ours = {f for f in os.listdir(os.path.join(out, "models"))}
-    theirs = {f for f in os.listdir(os.path.join(other, "models"))}
-    # content-addressed names: a different seed must change every digest
-    assert ours.isdisjoint(theirs)
+
+    def models(root):
+        stages = ExperimentState.load(root).data["stages"]
+        return {e["path"]: e["sha256"] for s in ("stage1", "stage3")
+                for e in stages[s]["outputs"].values()}
+
+    ours, theirs = models(out), models(other)
+    # a model is named by its stage key, so the names match by design;
+    # a different seed must change every digest
+    assert ours.keys() == theirs.keys()
+    assert set(ours.values()).isdisjoint(theirs.values())
+
+
+def _more_stage3_epochs(cfg: ExperimentConfig) -> ExperimentConfig:
+    return replace(cfg, stage3=replace(cfg.stage3, epochs=3))
+
+
+def test_a_stage3_rebuild_leaves_only_recorded_models_and_pairs(tiny_run, tmp_path):
+    import shutil
+
+    out, _ = tiny_run
+    work = str(tmp_path / "clone")
+    shutil.copytree(out, work)
+    ExperimentRunner(_more_stage3_epochs(_tiny_config()), work, threads=1).run_all()
+    on_disk = {f"{d}/{f}" for d in ("models", "pairs") for f in os.listdir(os.path.join(work, d))}
+    recorded = {e["path"] for s in ExperimentState.load(work).data["stages"].values()
+                for e in s["outputs"].values() if "path" in e}
+    assert len(on_disk) == 14
+    assert on_disk == {p for p in recorded if p.startswith(("models/", "pairs/"))}
 
 
 class _Interrupted(Exception):
@@ -576,10 +601,36 @@ def test_run_interrupted_before_a_stage_is_recorded_resumes_to_same_bytes(
     _resume_matches_clean_run(out, work)
 
 
+def test_a_stage3_rebuild_cut_short_resumes_under_the_old_config(
+    tiny_run, tmp_path, monkeypatch
+):
+    import shutil
+
+    out, _ = tiny_run
+    work = str(tmp_path / "work")
+    shutil.copytree(out, work)
+    record = ExperimentState.record
+
+    def interrupt(self, name, signature, outputs):
+        if name == "stage3":
+            raise _Interrupted(name)
+        record(self, name, signature, outputs)
+
+    monkeypatch.setattr(ExperimentState, "record", interrupt)
+    with pytest.raises(_Interrupted):
+        ExperimentRunner(_more_stage3_epochs(_tiny_config()), work, threads=1).run_all()
+    monkeypatch.undo()
+    # the new models overwrote the old ones, whose record went first
+    assert ExperimentState.load(work).stage("stage3") is None
+    _resume_matches_clean_run(out, work)
+
+
 @pytest.mark.parametrize(
     "target",
     [
         "state.json",
+        "models/s1-blurs.bin",
+        "pairs/pairs-blurs+noises-n20.json",
         "reports/cross-eval.json",
         "summary.json",
         "data/pool/0000.png",

@@ -81,7 +81,9 @@ def _reflect(i, n):
 
 
 def _reference_geometry(cfg):
-    """_conv_geometry's layers, built one output position and tap at a time."""
+    """_conv_geometry's layers, built one output position and tap at a time,
+    plus `cols_idx`, the source pixel of each (output position, kernel tap),
+    which the reference forward and backward below index with."""
     layers = []
     size, cin = cfg.patch_size, cfg.channels_in
     for cout in cfg.conv_channels:
@@ -110,12 +112,13 @@ def test_geometry_and_param_count_equal_their_references(conv_channels, channels
         got, want = _conv_geometry(cfg), _reference_geometry(cfg)
         assert len(got) == len(want)
         for g, w in zip(got, want):
-            assert g.keys() == w.keys()
+            # take_idx is cols_idx expanded over the channels, so equal
+            # take_idx arrays mean equal cols_idx arrays
+            assert g.keys() == w.keys() - {"cols_idx"}
             for key in ("in_size", "out_size"):
                 assert type(g[key]) is type(w[key]) and g[key] == w[key]
-            for key in ("cols_idx", "take_idx"):
-                assert g[key].dtype == w[key].dtype, (patch_size, key)
-                assert np.array_equal(g[key], w[key]), (patch_size, key)
+            assert g["take_idx"].dtype == w["take_idx"].dtype, patch_size
+            assert np.array_equal(g["take_idx"], w["take_idx"]), patch_size
         _, offset, shape = layout_for(cfg)[-1]
         count = param_count(cfg)
         assert type(count) is int and count == offset + int(np.prod(shape))
@@ -272,7 +275,7 @@ def _reference_forward_backward(params, x, upstream):
     col2im bincount per input channel, the formulation forward_batch and
     backward must reproduce bit for bit."""
     cfg = params.config
-    geometry = _conv_geometry(cfg)
+    geometry = _reference_geometry(cfg)
     b = x.shape[0]
     cols_per_layer, pre_per_layer = [], []
     current, cin = x, cfg.channels_in

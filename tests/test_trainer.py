@@ -306,7 +306,7 @@ def test_train_pairwise_validates_inputs():
     store = _toy_store()
     ids = sorted(store)
     bad = manifest_of(pool="toy", n_pairs=1, seed=0, ensemble=[],
-                      samples=[PairSample(ids[0], ids[1], 1.0)])
+                      samples=[PairSample(ids[0], ids[1], 1.5)])
     with pytest.raises(TrainerError, match="outside"):
         train_pairwise(bad, store, _SCFG, TrainConfig(epochs=1, warmup_epochs=0))
     missing = manifest_of(pool="toy", n_pairs=1, seed=0, ensemble=[],
@@ -321,13 +321,29 @@ def test_train_pairwise_names_a_bad_last_pair_without_building_every_row():
     columns = pairs.x.nbytes + pairs.y.nbytes + pairs.p_r.nbytes
     tracemalloc.start()
     try:
-        with pytest.raises(TrainerError, match=r"pair \(i0399, i0149\) has label 1.0 outside"):
+        with pytest.raises(TrainerError, match=r"pair \(i0399, i0149\) has label 1.5 outside"):
             train_pairwise(pairs, store, _SCFG, TrainConfig(epochs=1, warmup_epochs=0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # the checks need a few bytes per pair; one PairSample per pair, far more
     assert peak < columns, (peak, columns)
+
+
+def test_a_saturated_teacher_builds_saves_loads_and_trains(tmp_path):
+    # one teacher whose scores span 45: a pair whose scores differ by more
+    # than about 37 rounds its sigmoid to exactly 1.0
+    store = _toy_store(n=10)
+    ids = sorted(store)
+    table = [{i: 5.0 * k for k, i in enumerate(ids)}]
+    pairs = build_pair_manifest("toy", ids, table, [{"trained_on": "w", "digest": "w"}], 90, 3)
+    assert 1.0 in pairs.p_r.tolist()
+    save_pair_manifest(pairs, str(tmp_path / "pairs.csv"))
+    loaded = load_pair_manifest(str(tmp_path / "pairs.csv"))
+    assert loaded == pairs
+    params = train_pairwise(loaded, store, _SCFG, TrainConfig(epochs=1, warmup_epochs=0, seed=2))
+    assert np.all(np.isfinite(params.values))
+    assert params.meta == {"trained_on": "toy", "n_pairs": 90}
 
 
 def test_train_pairwise_zero_lr_keeps_init():
@@ -461,6 +477,7 @@ def _reference_train_pairwise(pair_manifest, image_store, scorer_config, train_c
             loss_total += loss * len(chosen)
         records.append({"stage": "train-pairwise", "epoch": epoch, "lr": epoch_lr,
                         "loss": loss_total / len(pairs)})
+    params.meta = dict(params.meta, trained_on=pair_manifest.pool, n_pairs=len(pairs))
     return params, records
 
 
@@ -539,10 +556,10 @@ def _reference_pair_checks(pair_manifest, image_store):
     if not pairs:
         raise TrainerError("empty pair manifest")
     for sample in pairs:
-        if not 0.0 < sample.p_r < 1.0:
+        if not 0.0 <= sample.p_r <= 1.0:
             raise TrainerError(
                 f"pair ({sample.x_id}, {sample.y_id}) has label {sample.p_r} "
-                "outside (0, 1)"
+                "outside [0, 1]"
             )
         for image_id in (sample.x_id, sample.y_id):
             if image_id not in image_store:
@@ -552,8 +569,8 @@ def _reference_pair_checks(pair_manifest, image_store):
 @pytest.mark.parametrize(
     "rows",
     [
-        [("img00", "img01", 0.5), ("nope", "img01", 0.5), ("img01", "img02", 1.0)],
-        [("img00", "img01", 0.5), ("img01", "img02", 0.0), ("nope", "img01", 0.5)],
+        [("img00", "img01", 0.5), ("nope", "img01", 0.5), ("img01", "img02", 1.5)],
+        [("img00", "img01", 0.5), ("img01", "img02", -0.5), ("nope", "img01", 0.5)],
         [("img00", "nope", 2.0), ("nope", "img00", 0.5)],
         [("img00", "img01", 0.5), ("img00", "nope", 0.5)],
         [("nope", "nope-2", 0.5)],
