@@ -12,10 +12,10 @@ what the stage loaded; later stages call it again. Every artifact is
 named by its stage key alone (as models/cdr-<tag>-n<N>.bin), so a rebuild
 overwrites it. Every artifact's hash is recorded in state.json per stage
 together with a signature over that stage's configuration and input
-hashes. A stage that runs drops its record, then records again only once
-all its artifacts are in place, so a run interrupted mid-stage rebuilds
-that stage on resume. Every file (images, dataset
-CSVs, models, pair manifests, reports and state) lands through
+hashes. A stage that runs drops its record and the files it lists, then
+records again only once all its artifacts are in place, so a run
+interrupted mid-stage rebuilds that stage on resume. Every file (images,
+dataset CSVs, models, pair manifests, reports and state) lands through
 png_io.write_atomic, a temp file and a rename, so none is ever
 half-written. One rule, ExperimentState.entry, builds a file's or a
 directory's entry and, on a rerun with an unchanged signature, verifies
@@ -405,8 +405,9 @@ class ExperimentRunner:
 
         The stage is signed over {"stage": name} | payload. When it is
         unrecorded, --force is set or its signature changed, one INFO line
-        says which, its old record goes, and build() writes its artifacts
-        and returns their state entries, recorded only after it returns.
+        says which, its old record goes with the files it lists as paths,
+        and build() writes its artifacts and returns their state entries,
+        recorded only after it returns.
         Otherwise every recorded artifact is verified once; a mismatch is
         refused.
         """
@@ -423,9 +424,14 @@ class ExperimentRunner:
                 reason = None
             if reason:
                 log.info("stage %s: runs, %s", name, reason)
-                if stage is not None:  # build() overwrites the files it describes
+                if stage is not None:  # a unit the config dropped leaves no file
                     del self.state.data["stages"][name]
                     self.state.save()
+                    for entry in stage["outputs"].values():
+                        rel = os.path.normpath(entry.get("path", "."))
+                        path = os.path.join(self.out_dir, rel)
+                        if not rel.startswith(("..", os.sep)) and os.path.isfile(path):
+                            os.remove(path)
                 self.state.record(name, signature, build())
             elif not self.state.outputs_ok(name):
                 raise HarnessError(

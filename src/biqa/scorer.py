@@ -14,6 +14,12 @@ activation after the ReLU. backward() takes its ReLU masks from those
 activations (post > 0 exactly where pre > 0) and returns the exact
 gradient of (upstream * score) with respect to every parameter.
 Everything runs in 64-bit and is deterministic.
+
+Sums keep numpy's order. The pooled mean and the conv bias gradients
+are np.einsum reductions, which add over (image, position) as mean and
+sum do while channels are their inner loop, at a quarter of the cost; a
+one-channel layer, which numpy sums pairwise, keeps mean and sum. col2im
+is one np.bincount over bins built once per (config, layer, batch size).
 """
 
 from __future__ import annotations
@@ -147,10 +153,10 @@ def _conv_geometry(config: ScorerConfig) -> list[dict]:
     floor-half to the top/left, remainder to the bottom/right, and the
     padded rows (and columns) are np.pad's "reflect" of the input's.
 
-    `take_idx` indexes one image's flat (pixel, channel) values with the
-    source pixel of each (output position, kernel tap), expanded over the
-    input channels, in (position, tap, channel) order, which is the im2col
-    row layout.
+    `pix_idx` (read-only) holds the flat source pixel of each (output
+    position, kernel tap), in (position, tap) order; gathering whole
+    channel vectors with it gives the im2col rows. `cin` is the layer's
+    input channel count.
     """
     layers = []
     size = config.patch_size
@@ -163,13 +169,25 @@ def _conv_geometry(config: ScorerConfig) -> list[dict]:
                       mode="reflect")
         # taps[o, k]: the source row (or column) of output o's kernel tap k
         taps = rows[2 * np.arange(out)[:, None] + np.arange(3)]
-        # flat source index for each (output position, kernel tap)
-        idx = (taps[:, None, :, None] * size + taps[None, :, None, :]).reshape(out * out, 9)
-        take_idx = (idx[:, :, None] * cin + np.arange(cin)).ravel()
-        layers.append({"in_size": size, "out_size": out, "take_idx": take_idx})
+        pix_idx = (taps[:, None, :, None] * size + taps[None, :, None, :]).ravel()
+        pix_idx.flags.writeable = False
+        layers.append({"in_size": size, "out_size": out, "cin": cin, "pix_idx": pix_idx})
         size = out
         cin = cout
     return layers
+
+
+@functools.lru_cache(maxsize=8)
+def _col2im_index(config: ScorerConfig, layer: int, batch: int) -> np.ndarray:
+    """col2im's bincount bins for one layer at one batch size, built once
+    and read-only: the flat (image, pixel, channel) source of each im2col
+    value, in the order backward's d_cols holds them."""
+    geo = _conv_geometry(config)[layer]
+    cin = geo["cin"]
+    per_image = (geo["pix_idx"][:, None] * cin + np.arange(cin)).ravel()
+    idx = (np.arange(batch)[:, None] * (geo["in_size"] ** 2 * cin) + per_image).ravel()
+    idx.flags.writeable = False
+    return idx
 
 
 def init_params(config: ScorerConfig, seed: int) -> ScorerParams:
@@ -201,20 +219,22 @@ def forward_batch(
     geometry = _conv_geometry(config)
     conv_cols, conv_post = [], []
     current = x
-    cin = config.channels_in
     for i, cout in enumerate(config.conv_channels):
         geo = geometry[i]
-        cols = np.take(current.reshape(b, -1), geo["take_idx"], axis=1).reshape(
-            b, geo["out_size"] ** 2, 9 * cin
+        cin, positions = geo["cin"], geo["out_size"] ** 2
+        cols = np.take(current.reshape(b, -1, cin), geo["pix_idx"], axis=1).reshape(
+            b, positions, 9 * cin
         )
         w = params.tensor(f"conv{i}_w").reshape(9 * cin, cout)
-        current = cols @ w
-        current += params.tensor(f"conv{i}_b")
-        np.maximum(current, 0.0, out=current)
+        # with the bias tiled over positions, the add is one contiguous pass
+        flat = (cols @ w).reshape(b, -1)
+        flat += np.tile(params.tensor(f"conv{i}_b"), positions)
+        np.maximum(flat, 0.0, out=flat)
+        current = flat.reshape(b, positions, cout)
         conv_cols.append(cols)
         conv_post.append(current)
-        cin = cout
-    pooled = current.mean(axis=1)
+    n, c = current.shape[1:]  # einsum where it keeps mean's order
+    pooled = np.einsum("bpc->bc", current) / n if c > 1 else current.mean(axis=1)
     fc1_post = pooled @ params.tensor("fc1_w") + params.tensor("fc1_b")
     np.maximum(fc1_post, 0.0, out=fc1_post)
     scores = (fc1_post @ params.tensor("fc2_w") + params.tensor("fc2_b"))[:, 0]
@@ -247,31 +267,30 @@ def backward(
     geometry = _conv_geometry(config)
     b = trace.batch
     n_last = geometry[-1]["out_size"] ** 2
-    # every position of the last map gets the same share of d_gap; the ReLU
-    # mask product below broadcasts it over the positions
-    d_post = (d_gap / n_last)[:, None, :]
-    channel_in = [config.channels_in] + list(config.conv_channels[:-1])
+    # every position of the last map gets the same share of d_gap
+    d_pre = (d_gap / n_last)[:, None, :] * (trace.conv_post[-1] > 0.0)
     for i in range(len(config.conv_channels) - 1, -1, -1):
         geo = geometry[i]
-        cin, cout = channel_in[i], config.conv_channels[i]
-        d_pre = d_post * (trace.conv_post[i] > 0.0)
+        cin, cout = geo["cin"], config.conv_channels[i]
         cols = trace.conv_cols[i]
         grad.tensor(f"conv{i}_w")[...] = (
             cols.reshape(-1, 9 * cin).T @ d_pre.reshape(-1, cout)
         ).reshape(3, 3, cin, cout)
-        grad.tensor(f"conv{i}_b")[...] = d_pre.sum(axis=(0, 1))
+        grad.tensor(f"conv{i}_b")[...] = (
+            np.einsum("bpc->c", d_pre) if cout > 1 else d_pre.sum(axis=(0, 1))
+        )
         if i == 0:
             break
         w = params.tensor(f"conv{i}_w").reshape(9 * cin, cout)
         d_cols = d_pre.reshape(-1, cout) @ w.T
         # col2im: bincount adds each bin's weights in input order, so every
-        # (pixel, channel) sum runs over its taps in (position, tap) order
+        # (pixel, channel) sum runs over its taps in (position, tap) order;
+        # its bins are built once per batch size. Layer i - 1's ReLU mask
+        # then applies in place on bincount's fresh array.
         n_in = geo["in_size"] ** 2 * cin
-        flat_idx = (
-            np.arange(b, dtype=np.int64)[:, None] * n_in + geo["take_idx"]
-        ).ravel()
-        d_input = np.bincount(flat_idx, weights=d_cols.ravel(), minlength=b * n_in)
-        d_post = d_input.reshape(b, geo["in_size"] ** 2, cin)
+        d_pre = np.bincount(_col2im_index(config, i, b), weights=d_cols.ravel(),
+                            minlength=b * n_in).reshape(b, geo["in_size"] ** 2, cin)
+        d_pre *= trace.conv_post[i - 1] > 0.0
     return grad.values
 
 

@@ -552,6 +552,14 @@ def _more_stage3_epochs(cfg: ExperimentConfig) -> ExperimentConfig:
     return replace(cfg, stage3=replace(cfg.stage3, epochs=3))
 
 
+def _models_and_pairs(work):
+    """(files under models/ and pairs/, the paths state.json records there)"""
+    on_disk = {f"{d}/{f}" for d in ("models", "pairs") for f in os.listdir(os.path.join(work, d))}
+    recorded = {e["path"] for s in ExperimentState.load(work).data["stages"].values()
+                for e in s["outputs"].values() if "path" in e}
+    return on_disk, {p for p in recorded if p.startswith(("models/", "pairs/"))}
+
+
 def test_a_stage3_rebuild_leaves_only_recorded_models_and_pairs(tiny_run, tmp_path):
     import shutil
 
@@ -559,11 +567,46 @@ def test_a_stage3_rebuild_leaves_only_recorded_models_and_pairs(tiny_run, tmp_pa
     work = str(tmp_path / "clone")
     shutil.copytree(out, work)
     ExperimentRunner(_more_stage3_epochs(_tiny_config()), work, threads=1).run_all()
-    on_disk = {f"{d}/{f}" for d in ("models", "pairs") for f in os.listdir(os.path.join(work, d))}
-    recorded = {e["path"] for s in ExperimentState.load(work).data["stages"].values()
-                for e in s["outputs"].values() if "path" in e}
+    on_disk, recorded = _models_and_pairs(work)
     assert len(on_disk) == 14
-    assert on_disk == {p for p in recorded if p.startswith(("models/", "pairs/"))}
+    assert on_disk == recorded
+
+
+def test_a_dropped_ladder_rung_leaves_no_model_or_pair_file(tiny_run, tmp_path):
+    import shutil
+
+    out, _ = tiny_run
+    work = str(tmp_path / "clone")
+    shutil.copytree(out, work)
+    cfg = _tiny_config()
+    cfg.pair_ladder = [20]
+    ExperimentRunner(cfg, work, threads=1).run_all()
+    on_disk, recorded = _models_and_pairs(work)
+    # the n6 rung's model and pair files (.csv, .json) are gone
+    assert not [p for p in on_disk if "-n6." in p]
+    assert len(on_disk) == 11
+    assert on_disk == recorded
+    # the rung both configs hold keeps its bytes
+    ours, theirs = _tree_hashes(work), _tree_hashes(out)
+    assert {rel: ours[rel] for rel in on_disk} == {rel: theirs[rel] for rel in on_disk}
+
+
+def test_a_dropped_record_deletes_no_file_outside_the_output_directory(tiny_run, tmp_path):
+    import shutil
+
+    out, _ = tiny_run
+    work = str(tmp_path / "clone")
+    shutil.copytree(out, work)
+    victims = [tmp_path / "outside.bin", tmp_path / "absolute.bin"]
+    for victim in victims:
+        victim.write_bytes(b"keep")
+    state = ExperimentState.load(work)
+    outputs = state.data["stages"]["stage3"]["outputs"]
+    outputs["model:up"] = {"path": "../outside.bin", "sha256": "0" * 64}
+    outputs["model:abs"] = {"path": str(victims[1]), "sha256": "0" * 64}
+    state.save()
+    ExperimentRunner(_more_stage3_epochs(_tiny_config()), work, threads=1).run_all()
+    assert [v.read_bytes() for v in victims] == [b"keep", b"keep"]
 
 
 class _Interrupted(Exception):

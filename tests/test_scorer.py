@@ -1,3 +1,5 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from biqa.dataset import ImageRecord
 from biqa.rng import SplitMix64
 from biqa.scorer import (
+    _col2im_index,
     _conv_geometry,
     ScorerConfig,
     ScorerError,
@@ -95,8 +98,8 @@ def _reference_geometry(cfg):
             for ox in range(out):
                 idx[oy * out + ox] = [rows[2 * oy + ky] * size + rows[2 * ox + kx]
                                       for ky in range(3) for kx in range(3)]
-        take_idx = (idx[:, :, None] * cin + np.arange(cin)).ravel()
-        layers.append({"in_size": size, "out_size": out, "cols_idx": idx, "take_idx": take_idx})
+        layers.append({"in_size": size, "out_size": out, "cin": cin, "cols_idx": idx,
+                       "pix_idx": idx.ravel()})
         size, cin = out, cout
     return layers
 
@@ -112,13 +115,14 @@ def test_geometry_and_param_count_equal_their_references(conv_channels, channels
         got, want = _conv_geometry(cfg), _reference_geometry(cfg)
         assert len(got) == len(want)
         for g, w in zip(got, want):
-            # take_idx is cols_idx expanded over the channels, so equal
-            # take_idx arrays mean equal cols_idx arrays
+            # pix_idx is cols_idx flattened, so equal pix_idx arrays mean
+            # equal cols_idx arrays
             assert g.keys() == w.keys() - {"cols_idx"}
-            for key in ("in_size", "out_size"):
+            for key in ("in_size", "out_size", "cin"):
                 assert type(g[key]) is type(w[key]) and g[key] == w[key]
-            assert g["take_idx"].dtype == w["take_idx"].dtype, patch_size
-            assert np.array_equal(g["take_idx"], w["take_idx"]), patch_size
+            assert g["pix_idx"].dtype == w["pix_idx"].dtype, patch_size
+            assert np.array_equal(g["pix_idx"], w["pix_idx"]), patch_size
+            assert not g["pix_idx"].flags.writeable
         _, offset, shape = layout_for(cfg)[-1]
         count = param_count(cfg)
         assert type(count) is int and count == offset + int(np.prod(shape))
@@ -370,6 +374,93 @@ def test_forward_backward_bit_identical_to_reference(
     ref_scores, ref_grad = _reference_forward_backward(kink_params, x, upstream)
     assert np.array_equal(scores, ref_scores)
     assert np.array_equal(grad, ref_grad)
+
+
+@pytest.mark.parametrize("conv_channels", [(1,), (2, 1), (4, 1), (2, 3), (8, 16, 32)])
+@pytest.mark.parametrize("batch", [1, 5, 32])
+def test_pooling_and_bias_gradient_keep_numpys_sum_order(conv_channels, batch):
+    # numpy sums a one-channel (B, P, 1) array pairwise, and einsum would
+    # not: the pooled features and the last layer's bias gradient must keep
+    # mean(axis=1)'s and sum(axis=(0, 1))'s bits for every channel count
+    cfg = ScorerConfig(patch_size=32, channels_in=1, conv_channels=conv_channels, hidden=4)
+    params = init_params(cfg, seed=batch)
+    rng = SplitMix64(batch + 100)
+    params.values += 0.05 * rng.normal_block(params.values.size)
+    x = rng.uniform_block(batch * 32 * 32).reshape(batch, 32, 32, 1)
+    upstream = rng.normal_block(batch)
+    _, trace = forward_batch(params, x)
+    post = trace.conv_post[-1]
+    assert np.array_equal(trace.gap, post.mean(axis=1))
+    grad = ScorerParams(cfg, backward(trace, params, upstream))
+    d_fc1_pre = (upstream[:, None] @ params.tensor("fc2_w").T) * (trace.fc1_post > 0.0)
+    d_gap = d_fc1_pre @ params.tensor("fc1_w").T
+    d_pre = (d_gap / post.shape[1])[:, None, :] * (post > 0.0)
+    last = len(conv_channels) - 1
+    assert np.array_equal(grad.tensor(f"conv{last}_b"), d_pre.sum(axis=(0, 1)))
+
+
+# (config, seed) pairs for the index-cache tests: three input channels make
+# every layer gather whole channel vectors
+_CACHE_CASES = [
+    (ScorerConfig(patch_size=12, channels_in=3, conv_channels=(4, 6, 8), hidden=8), 3),
+    (ScorerConfig(patch_size=10, channels_in=1, conv_channels=(2, 3), hidden=3), 4),
+]
+
+
+def _matches_reference(cfg, seed, batch):
+    """forward_batch and backward at one batch size, bit-equal to the
+    reference formulation."""
+    params = init_params(cfg, seed=seed)
+    rng = SplitMix64(seed * 1000 + batch)
+    params.values += 0.05 * rng.normal_block(params.values.size)
+    x = rng.uniform_block(batch * cfg.patch_size**2 * cfg.channels_in).reshape(
+        batch, cfg.patch_size, cfg.patch_size, cfg.channels_in
+    )
+    upstream = rng.normal_block(batch)
+    scores, trace = forward_batch(params, x)
+    grad = backward(trace, params, upstream)
+    ref_scores, ref_grad = _reference_forward_backward(params, x, upstream)
+    return np.array_equal(scores, ref_scores) and np.array_equal(grad, ref_grad)
+
+
+_BATCH_SEQUENCE = [32, 5, 1, 33, 32]
+
+
+def test_col2im_index_cache_keeps_bits_across_batch_sizes():
+    _col2im_index.cache_clear()
+    for cfg, seed in _CACHE_CASES:
+        for batch in _BATCH_SEQUENCE:
+            assert _matches_reference(cfg, seed, batch), (cfg, batch)
+    # a cached index is shared, so it must refuse writes
+    index = _col2im_index(_CACHE_CASES[0][0], 1, 5)
+    with pytest.raises(ValueError, match="read-only"):
+        index[0] = 0
+    # many batch sizes keep the cache at its bound; an evicted index is
+    # rebuilt to the same bits
+    cfg, seed = _CACHE_CASES[0]
+    for batch in range(1, 3 * _col2im_index.cache_info().maxsize):
+        _col2im_index(cfg, 1, batch)
+        _col2im_index(cfg, 2, batch)
+        assert _col2im_index.cache_info().currsize <= _col2im_index.cache_info().maxsize
+    assert _matches_reference(cfg, seed, 32)
+
+
+def test_col2im_index_cache_keeps_bits_across_threads():
+    # more threads than the machines this runs on have cores, switching
+    # often, all filling one cache from empty
+    _col2im_index.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [
+                pool.submit(lambda c=case: [_matches_reference(*c, b) for b in _BATCH_SEQUENCE])
+                for case in _CACHE_CASES * 2
+            ]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [[True] * len(_BATCH_SEQUENCE)] * len(futures)
 
 
 def _trace_arrays(trace):
