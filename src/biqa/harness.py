@@ -27,6 +27,14 @@ reports. Every RNG stream is derived from the experiment's master seed
 and a unit label, so any --threads setting produces byte-identical
 outputs.
 
+The threads setting is the number of worker threads that run stage 1's
+and stage 3's units (ExperimentRunner._map). The data stage generates
+its datasets one after another at any setting; each
+synthbench.gen_biased_dataset call keeps one helper thread of its own
+building pixels while the calling thread writes PNGs. A runner with
+threads > 1 logs a warning when none of __main__.BLAS_VARS is set, since
+each worker's BLAS would then start a thread per CPU.
+
 All paths inside state and reports are relative to the output directory.
 """
 
@@ -42,6 +50,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from .__main__ import BLAS_VARS
 from .config import decode, json_text, read_json
 from .dataset import DatasetManifest, load_manifest, rescale_mos, split_dataset, train_count
 from .metrics import (
@@ -384,6 +393,11 @@ class ExperimentRunner:
         self.config = config
         self.out_dir = out_dir
         self.threads = max(1, int(threads))
+        if self.threads > 1 and not any(var in os.environ for var in BLAS_VARS):
+            log.warning("threads=%d with none of %s set: BLAS may start a thread "
+                        "per CPU in every worker; set them to 1 (as the biqa "
+                        "command does) before numpy loads",
+                        self.threads, ", ".join(BLAS_VARS))
         self.force = bool(force)
         for sub in ("data", "models", "pairs", "reports"):
             os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
@@ -480,7 +494,10 @@ class ExperimentRunner:
                 image_dir = os.path.join(data_dir, c.name)
                 if os.path.isdir(image_dir):
                     shutil.rmtree(image_dir)
-            self._map(lambda c: gen_biased_dataset(c, data_dir), all_configs)
+            # one at a time: each call already keeps a helper thread busy, and
+            # mapping the datasets over threads as well raised peak memory
+            for c in all_configs:
+                gen_biased_dataset(c, data_dir)
             return {f"{label}:{c.name}": self.state.entry(f"data/{rel}")
                     for c in all_configs
                     for label, rel in (*_data_files(c.name), ("images", c.name))}

@@ -11,6 +11,7 @@ quality - a controllable stand-in for inter-dataset bias.
 from __future__ import annotations
 
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -33,7 +34,10 @@ MIN_IMAGE_SIZE = 8
 MIN_BLUR_IMAGE_SIZE = int(np.ceil(3.0 * BLUR_SIGMA_SCALE)) + 1
 # images built at a time, chosen by peak memory: the chunk's temporaries
 # fragment the heap under the images kept, and in perfbench's label workload
-# 32 added about 0.5 MB to the peak where 16 added about 0.9 MB
+# 32 added about 0.5 MB to the peak where 16 added about 0.9 MB. Now that
+# gen_biased_dataset's helper thread builds chunk k + 1 while chunk k is
+# written (so at most two chunks' pixels are live), 16 and 32 give the
+# same label set-up time and peak
 GEN_BATCH = 32
 
 
@@ -201,6 +205,19 @@ def _degrade(pixels: np.ndarray, kinds: np.ndarray, magnitudes: np.ndarray,
     pixels[shrunk] = 0.5 + (1.0 - CONTRAST_SHRINK_SCALE * m) * (pixels[shrunk] - 0.5)
 
 
+def _build_chunk(config: BiasedDatasetConfig, kinds: np.ndarray,
+                 chunk: range) -> tuple[np.ndarray, list[float]]:
+    """The (k, size, size) degraded pixels and the magnitudes of the images
+    in chunk, from their streams drawn in lockstep."""
+    stream = SplitMix64([derive_seed(config.seed, "img", i) for i in chunk])
+    words = stream.next_u64_block(2)
+    magnitudes = unit(words[:, 0])
+    pixels = _base_textures(config.image_size,
+                            [derive_seed(config.seed, "base", i) for i in chunk])
+    _degrade(pixels, kinds[words[:, 1] % len(kinds)], magnitudes, stream)
+    return pixels, magnitudes.tolist()
+
+
 def gen_biased_dataset(
     config: BiasedDatasetConfig, out_dir: str
 ) -> tuple[DatasetManifest, GroundTruth]:
@@ -214,6 +231,12 @@ def gen_biased_dataset(
     base texture seed is derive_seed(seed, "base", i). Images are built
     GEN_BATCH at a time, each chunk's streams drawn in lockstep, so every
     image's streams, and so its pixels, are those it would have alone.
+
+    One helper thread, owned by the call, builds the next chunk while this
+    thread writes the current one's PNGs, never more than one chunk ahead.
+    Every write_png call, record and CSV write stays on the calling thread,
+    so the records come from the caller's heap. An error on either thread
+    is raised here, after the helper has stopped.
     """
     img_dir = os.path.join(out_dir, config.name)
     os.makedirs(img_dir, exist_ok=True)
@@ -223,25 +246,25 @@ def gen_biased_dataset(
     rows = []
     remap = REMAPS[config.label_remap]
     kinds = np.array(config.allowed_kinds)
-    for lo in range(0, config.n_images, GEN_BATCH):
-        chunk = range(lo, min(lo + GEN_BATCH, config.n_images))
-        stream = SplitMix64([derive_seed(config.seed, "img", i) for i in chunk])
-        words = stream.next_u64_block(2)
-        magnitudes = unit(words[:, 0])
-        pixels = _base_textures(config.image_size,
-                                [derive_seed(config.seed, "base", i) for i in chunk])
-        _degrade(pixels, kinds[words[:, 1] % len(kinds)], magnitudes, stream)
-        for i, image, magnitude in zip(chunk, pixels, magnitudes.tolist()):
-            rid = f"{config.name}_{i:04d}"
-            rel_path = os.path.join(config.name, f"{i:04d}.png")
-            # the in-memory record holds what a read of the PNG yields
-            stored = write_png(os.path.join(out_dir, rel_path), image[:, :, None])
-            qstar = 1.0 - magnitude
-            label = float(remap(qstar))
-            records.append(ImageRecord(id=rid, pixels=stored))
-            labels[rid] = label
-            truth.qstar[rid] = qstar
-            rows.append((rid, rel_path, label))
+    chunks = [range(lo, min(lo + GEN_BATCH, config.n_images))
+              for lo in range(0, config.n_images, GEN_BATCH)]
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        ahead = helper.submit(_build_chunk, config, kinds, chunks[0])
+        for k, chunk in enumerate(chunks):
+            pixels, magnitudes = ahead.result()
+            if k + 1 < len(chunks):
+                ahead = helper.submit(_build_chunk, config, kinds, chunks[k + 1])
+            for i, image, magnitude in zip(chunk, pixels, magnitudes):
+                rid = f"{config.name}_{i:04d}"
+                rel_path = os.path.join(config.name, f"{i:04d}.png")
+                # the in-memory record holds what a read of the PNG yields
+                stored = write_png(os.path.join(out_dir, rel_path), image[:, :, None])
+                qstar = 1.0 - magnitude
+                label = float(remap(qstar))
+                records.append(ImageRecord(id=rid, pixels=stored))
+                labels[rid] = label
+                truth.qstar[rid] = qstar
+                rows.append((rid, rel_path, label))
     write_manifest_csv(os.path.join(out_dir, f"{config.name}.csv"), rows)
     text = render_csv(("id", "qstar"), (truth.qstar, truth.qstar.values()), SynthError)
     write_atomic(os.path.join(out_dir, f"{config.name}.truth.csv"), text)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from biqa import harness
+from biqa.__main__ import BLAS_VARS
 from biqa.dataset import ImageRecord
 from biqa.harness import (
     ExperimentConfig,
@@ -22,6 +23,7 @@ from biqa.harness import (
     signature_of,
     subset_tag,
 )
+from biqa.metrics import EvalReport
 from biqa.rng import SplitMix64, derive_seed
 from biqa.scorer import ScorerConfig, forward_batch, init_params
 from biqa.synthbench import BiasedDatasetConfig, SynthError
@@ -716,3 +718,39 @@ def test_data_stage_drops_images_of_an_earlier_larger_pool(tmp_path):
     fresh = data_run(clean, 14)
     assert len(fresh[1]) == 14
     assert data_run(reused, 14) == fresh
+
+
+def test_aggregates_on_a_hand_computed_matrix(tmp_path):
+    srcc = [[0.9, 0.3, 0.6], [0.2, 0.8, 0.5], [-0.4, 0.1, 0.6], [0.7, 0.4, 0.1]]
+    models = ["s1-a", "s1-b", "s1-c", "cdr"]
+    rows = [[EvalReport(model, model, f"d{j}", 10, cell, cell, cell, [])
+             for j, cell in enumerate(row)] for model, row in zip(models, srcc)]
+    out = ExperimentRunner(_tiny_config(), str(tmp_path))._aggregates(rows)
+    assert out["stage1"] == {
+        "s1-a": {"diag_srcc": 0.9, "offdiag_mean_srcc": pytest.approx(0.45),
+                 "mean_srcc": pytest.approx(0.6)},
+        "s1-b": {"diag_srcc": 0.8, "offdiag_mean_srcc": pytest.approx(0.35),
+                 "mean_srcc": pytest.approx(0.5)},
+        "s1-c": {"diag_srcc": 0.6, "offdiag_mean_srcc": pytest.approx(-0.15),
+                 "mean_srcc": pytest.approx(0.1)},
+    }
+    assert out["cdr"] == {"mean_srcc": pytest.approx(0.4),
+                          "per_dataset": {"d0": 0.7, "d1": 0.4, "d2": 0.1}}
+
+
+@pytest.mark.parametrize("pinned", [None, "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"])
+def test_threaded_runner_warns_once_when_blas_is_not_pinned(tmp_path, monkeypatch, caplog,
+                                                           pinned):
+    for var in BLAS_VARS:
+        monkeypatch.delenv(var, raising=False)
+    if pinned:
+        monkeypatch.setenv(pinned, "1")
+    caplog.set_level("WARNING", logger="biqa.harness")
+    ExperimentRunner(_tiny_config(), str(tmp_path / "one"), threads=1)
+    ExperimentRunner(_tiny_config(), str(tmp_path / "two"), threads=2)
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    if pinned:
+        assert warnings == []
+    else:
+        assert len(warnings) == 1 and "threads=2" in warnings[0]
+        assert all(var in warnings[0] for var in BLAS_VARS)

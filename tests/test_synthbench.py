@@ -1,11 +1,14 @@
 import os
+import threading
 
 import numpy as np
 import pytest
 
+from biqa import synthbench
 from biqa.dataset import load_manifest
 from biqa.rng import SplitMix64, derive_seed
 from biqa.synthbench import (
+    GEN_BATCH,
     KINDS,
     REMAPS,
     BiasedDatasetConfig,
@@ -177,6 +180,49 @@ def test_labels_are_remapped_qstar(tmp_path):
     manifest, truth = gen_biased_dataset(config, str(tmp_path))
     for rid, label in manifest.labels.items():
         assert label == pytest.approx(truth.qstar[rid] ** 2, abs=1e-12)
+
+
+def _spy(monkeypatch, name, on_call):
+    """Wrap synthbench.<name> so on_call(n) runs before its n-th call."""
+    original, calls = getattr(synthbench, name), []
+
+    def spy(*args, **kwargs):
+        calls.append(threading.get_ident())
+        on_call(len(calls))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(synthbench, name, spy)
+    return calls
+
+
+def test_every_write_runs_on_the_calling_thread(tmp_path, monkeypatch):
+    # perfbench's tracer spans write_png on the thread that calls it, and the
+    # records must come from the caller's heap; only pixels go to the helper
+    writes = _spy(monkeypatch, "write_png", lambda n: None)
+    builds = _spy(monkeypatch, "_degrade", lambda n: None)
+    config = _tiny_config(n_images=2 * GEN_BATCH + 1)
+    gen_biased_dataset(config, str(tmp_path))
+    assert writes == [threading.get_ident()] * config.n_images
+    assert len(builds) == 3 and len(set(builds)) == 1
+    assert builds[0] != threading.get_ident()
+
+
+class PlantedFault(Exception):
+    pass
+
+
+@pytest.mark.parametrize("name, nth", [("_degrade", 2), ("write_png", 40)])
+def test_a_fault_on_either_thread_reaches_the_caller_and_no_thread_stays(
+        tmp_path, monkeypatch, name, nth):
+    def fail(n):
+        if n == nth:
+            raise PlantedFault(f"{name} call {n}")
+
+    _spy(monkeypatch, name, fail)
+    before = threading.active_count()
+    with pytest.raises(PlantedFault, match=f"{name} call {nth}"):
+        gen_biased_dataset(_tiny_config(n_images=2 * GEN_BATCH + 1), str(tmp_path))
+    assert threading.active_count() == before
 
 
 def test_load_ground_truth_rejects_bad_header(tmp_path):
