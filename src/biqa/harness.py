@@ -698,8 +698,11 @@ class ExperimentRunner:
                 ScoredModel(name, trained_on, crop_scorer(entry["params"], crops))
                 for name, trained_on, entry in entries
             ]
-            vs_qstar = cross_dataset_matrix(rows, qstar_sets)
-            vs_labels = cross_dataset_matrix(rows, [manifests[n] for n in names])
+            # one matrix, so every cell's fit shares one fit_logistic call;
+            # its first columns are the q* sets, the rest the label sets
+            matrix = cross_dataset_matrix(rows, qstar_sets + [manifests[n] for n in names])
+            vs_qstar = [row[:len(qstar_sets)] for row in matrix]
+            vs_labels = [row[len(qstar_sets):] for row in matrix]
             report = {
                 "schema": SCHEMA_VERSION,
                 "inputs": {

@@ -125,13 +125,14 @@ def fidelity_loss(p_hat, p) -> tuple[float, np.ndarray]:
 
 
 def stable_sigmoid(d):
-    """1/(1+exp(-d)) with no overflow for any finite d; ufunc-style."""
+    """1/(1+exp(-d)) with no overflow for any finite d; ufunc-style.
+
+    e = exp(-|d|) is exp(-d) where d >= 0 and exp(d) elsewhere, so this is
+    1/(1+exp(-d)) for d >= 0 and exp(d)/(1+exp(d)) below, bit for bit; a
+    NaN stays NaN."""
     d = np.asarray(d, dtype=np.float64)
-    out = np.empty_like(d)
-    pos = d >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ed = np.exp(d[~pos])
-    out[~pos] = ed / (1.0 + ed)
+    e = np.exp(-np.abs(d))
+    out = np.where(d >= 0.0, 1.0, e) / (1.0 + e)
     return out if out.ndim else float(out)
 
 

@@ -238,10 +238,13 @@ def _reference_fit_logistic(preds, mos):
     return [float(v) for v in beta], ended, rejected
 
 
-def test_fit_logistic_bit_identical_to_reference():
-    ended, rejected = set(), 0
-    for seed in range(4):
-        for n in (5, 8, 50):
+def _reference_grid():
+    """{n: [(preds, labels), ...]}: noise, a noisy logistic and a nearly
+    affine set for each of four seeds; between them the fits end in every
+    way the loop can end."""
+    grid = {}
+    for n in (5, 8, 50):
+        for seed in range(4):
             rng = SplitMix64(seed)
             s = rng.uniform_block(n)
             for y in (
@@ -250,13 +253,96 @@ def test_fit_logistic_bit_identical_to_reference():
                 + 0.01 * rng.normal_block(n),
                 2.0 * s + 0.001 * rng.normal_block(n),  # nearly affine
             ):
-                ref, how, rej = _reference_fit_logistic(s, y)
-                assert fit_logistic(s, y) == ref, (seed, n, how)
-                ended.add(how)
-                rejected += rej
+                grid.setdefault(n, []).append((s, y))
+    return grid
+
+
+def test_fit_logistic_bit_identical_to_reference():
+    ended, rejected = set(), 0
+    for n, pairs in _reference_grid().items():
+        for s, y in pairs:
+            ref, how, rej = _reference_fit_logistic(s, y)
+            assert fit_logistic(s, y) == ref, (n, how)
+            ended.add(how)
+            rejected += rej
     # the grid reaches every way the loop can end, through rejected steps
     assert ended == {"converged", "max_iter", "damping", "affine"}
     assert rejected > 0
+
+
+def test_fit_logistic_block_bit_identical_to_reference():
+    every_ending = False
+    for n, pairs in _reference_grid().items():
+        block = fit_logistic(np.stack([s for s, _ in pairs]), np.stack([y for _, y in pairs]))
+        refs = [_reference_fit_logistic(s, y) for s, y in pairs]
+        assert block == [ref for ref, _, _ in refs], n
+        ended = {how for _, how, _ in refs}
+        every_ending |= ended == {"converged", "max_iter", "damping", "affine"}
+    # one block holds rows that converge, run out of iterations, damp out
+    # and fall back to the affine fit, each stopping at its own iteration
+    assert every_ending
+
+
+def test_fit_logistic_returns_five_floats_per_row():
+    pairs = _reference_grid()[8]
+    s, y = pairs[0]
+    lone = fit_logistic(s, y)
+    assert len(lone) == 5 and all(type(v) is float for v in lone)
+    assert fit_logistic(s[None], y[None]) == [lone]
+    block = fit_logistic(np.stack([s for s, _ in pairs]), np.stack([y for _, y in pairs]))
+    assert len(block) == len(pairs)
+    assert all(len(row) == 5 and all(type(v) is float for v in row) for row in block)
+
+
+def test_fit_logistic_block_names_its_bad_row():
+    pairs = _reference_grid()[8][:4]
+    x = np.stack([s for s, _ in pairs])
+    y = np.stack([y for _, y in pairs])
+    flat, nonfinite = x.copy(), y.copy()
+    flat[2] = 0.5
+    nonfinite[1, 3] = np.nan
+    with pytest.raises(MetricError, match=r"^row 2: fit_logistic: zero variance in predictions$"):
+        fit_logistic(flat, y)
+    with pytest.raises(MetricError, match=r"^row 1: fit_logistic: non-finite values$"):
+        fit_logistic(x, nonfinite)
+    with pytest.raises(MetricError, match=r"^row 0: fit_logistic: need at least 5 points, got 4$"):
+        fit_logistic(x[:, :4], y[:, :4])
+    with pytest.raises(MetricError, match=r"^fit_logistic: need two equal-length vectors$"):
+        fit_logistic(x, y[:, :6])
+
+
+def test_fit_logistic_block_grows_only_the_singular_rows_damping(monkeypatch):
+    # six rows, each with its own predictions; the patched solve calls row
+    # 3's system singular while its lam is below 0.5. It tells the row by
+    # entry (3, 4) of the damped normal equations, sum(x), and the damping
+    # by entry (4, 4), n * (1 + lam)
+    rng = SplitMix64(21)
+    n, target = 12, 3
+    x = np.stack([rng.uniform_block(n) for _ in range(6)])
+    y = np.stack([logistic_map(row, (2.0, 8.0, 0.5, 0.3, 1.0)) + 0.05 * rng.normal_block(n)
+                  for row in x])
+    unpatched = [_reference_fit_logistic(s, t)[0] for s, t in zip(x, y)]
+    real_solve, raised = np.linalg.solve, []
+
+    def solve(a, b):
+        a = np.asarray(a)
+        hit = np.isclose(a[..., 3, 4], x[target].sum(), rtol=1e-12, atol=0.0)
+        if np.any(hit & (a[..., 4, 4] < 1.5 * n)):
+            raised.append(a.ndim)
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    patched = [_reference_fit_logistic(s, t)[0] for s, t in zip(x, y)]
+    raised.clear()
+    block = fit_logistic(x, y)
+    assert block == patched
+    # the stacked solve raised, and the row-by-row retry raised for row 3
+    assert 3 in raised and 2 in raised
+    assert block[target] != unpatched[target]
+    assert [row for i, row in enumerate(block) if i != target] == [
+        row for i, row in enumerate(unpatched) if i != target
+    ]
 
 
 def test_fit_logistic_five_point_minimum_and_affine_fallback():
@@ -374,6 +460,73 @@ def test_cross_dataset_matrix_names_the_cell_it_cannot_evaluate():
         cross_dataset_matrix(models, ds)
     with pytest.raises(MetricError, match=r"^ok on tiny: fit_logistic: need at least 5 points"):
         cross_dataset_matrix(models[:1], [_manifest("tiny", 4, 3)])
+
+
+def _noisy_scorer(lookup, phase, calls=None, name=None):
+    """score_fn: each record's label plus a deterministic wobble; records
+    name their dataset through their id's first letter."""
+
+    def score_fn(records):
+        if calls is not None:
+            calls.append((name, records[0].id[0], len(records)))
+        wobble = 0.3 * np.cos(phase * np.arange(len(records)) + 1.0)
+        return np.array([lookup[r.id[0]][r.id] for r in records]) + wobble
+
+    return score_fn
+
+
+def test_cross_dataset_matrix_scores_each_cell_once_model_major():
+    ds = [_manifest("a", 20, 1), _manifest("b", 25, 2), _manifest("c", 20, 3)]
+    lookup = {m.name: m.labels for m in ds}
+    calls = []
+    models = [
+        ScoredModel(name=f"m{i}", trained_on="a",
+                    score_fn=_noisy_scorer(lookup, 0.7 + i, calls, f"m{i}"))
+        for i in range(2)
+    ]
+    cross_dataset_matrix(models, ds)
+    assert calls == [(m, d, n) for m in ("m0", "m1") for d, n in (("a", 20), ("b", 25), ("c", 20))]
+
+
+def test_cross_dataset_matrix_cells_equal_evaluate(monkeypatch):
+    import biqa.metrics as metrics_module
+
+    # two size groups (20 and 25 records): one fit_logistic call each
+    ds = [_manifest("a", 20, 1), _manifest("b", 25, 2), _manifest("c", 20, 3)]
+    lookup = {m.name: m.labels for m in ds}
+    models = [
+        ScoredModel(name=f"m{i}", trained_on=ds[i].name, score_fn=_noisy_scorer(lookup, 0.3 + 1.7 * i))
+        for i in range(3)
+    ] + [ScoredModel(name="anti", trained_on="x",
+                     score_fn=lambda recs: -_noisy_scorer(lookup, 2.2)(recs))]
+    lone = [[evaluate(m.score_fn(d.records), [d.labels[r.id] for r in d.records],
+                      m.name, m.trained_on, d.name) for d in ds] for m in models]
+    fit_calls = []
+
+    def counted_fit(preds, mos):
+        fit_calls.append(np.shape(preds))
+        return fit_logistic(preds, mos)
+
+    monkeypatch.setattr(metrics_module, "fit_logistic", counted_fit)
+    matrix = cross_dataset_matrix(models, ds)
+    assert matrix == lone
+    assert sorted(fit_calls) == [(4, 25), (8, 20)]
+
+
+def test_cross_dataset_matrix_names_the_first_bad_cell_model_major():
+    ds = [_manifest("a", 20, 1), _manifest("b", 25, 2)]
+    lookup = {m.name: m.labels for m in ds}
+    good = _noisy_scorer(lookup, 0.9)
+
+    def flat_on(name):
+        return lambda recs: np.ones(len(recs)) if recs[0].id[0] == name else good(recs)
+
+    # cells (m0, b) and (m1, a) both have constant predictions
+    models = [ScoredModel("m0", "a", flat_on("b")), ScoredModel("m1", "b", flat_on("a"))]
+    with pytest.raises(MetricError, match=r"^m0 on b: fit_logistic: zero variance in predictions$"):
+        cross_dataset_matrix(models, ds)
+    with pytest.raises(MetricError, match=r"^m1 on a: fit_logistic: zero variance in predictions$"):
+        cross_dataset_matrix(models[::-1], ds)
 
 
 def test_render_matrix_csv_layout():

@@ -162,6 +162,29 @@ def test_stable_sigmoid_array_equals_elementwise():
     assert {0.0, 1.0} <= set(elementwise)
 
 
+def _masked_sigmoid(d):
+    """Reference copy of the sigmoid as two masked exps, one per sign."""
+    d = np.asarray(d, dtype=np.float64)
+    out = np.empty_like(d)
+    pos = d >= 0.0
+    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+    ed = np.exp(d[~pos])
+    out[~pos] = ed / (1.0 + ed)
+    return out if out.ndim else float(out)
+
+
+def test_stable_sigmoid_matches_the_masked_formula_bit_for_bit():
+    edges = [0.0, -0.0, 1e-300, -1e-300, 700.0, -700.0, 746.0, -746.0, np.inf, -np.inf]
+    d = np.concatenate([edges, SplitMix64(9).normal_block(10_000)])
+    for block in (d, d[:10_000].reshape(100, 100)):
+        assert stable_sigmoid(block).tobytes() == _masked_sigmoid(block).tobytes()
+    for v in edges:
+        got, want = stable_sigmoid(v), _masked_sigmoid(v)
+        assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert math.isnan(stable_sigmoid(np.nan))
+    assert np.isnan(stable_sigmoid(np.array([np.nan, 1.0])))[0]
+
+
 def test_lr_schedule_endpoints():
     cfg = TrainConfig(epochs=10, warmup_epochs=2, base_lr=1e-3,
                       warmup_start_lr=5e-7, min_lr=1e-8)
