@@ -22,9 +22,9 @@ would take.
 
 cross_dataset_matrix is the one evaluation path: every model scored on
 the full labeled set of every dataset, one EvalReport per cell. It scores
-every cell, checks every cell, then fits each group of equal-length cells
-in one fit_logistic call. A cell that cannot be evaluated raises
-MetricError naming its model and dataset.
+each model once per record list, checks every cell, then fits each group
+of equal-length cells in one fit_logistic call. A cell that cannot be
+evaluated raises MetricError naming its model and dataset.
 
 All functions are pure; nothing here touches the filesystem.
 """
@@ -327,7 +327,9 @@ def cross_dataset_matrix(
     """Evaluate every model on the full labeled set of every dataset.
 
     Each cell gets the report evaluate gives, in three passes: score every
-    cell (one score_fn call each, model-major); check every cell as
+    cell, model-major, with one score_fn call per model and record list
+    (datasets that share one records list, as a q* set and its label set
+    do, share the call's scores); check every cell as
     fit_logistic checks a pair; fit each group of equal-length cells in one
     fit_logistic call, then finish each cell's report. A cell that fails
     raises MetricError naming its model and dataset; a cell that fails the
@@ -337,11 +339,14 @@ def cross_dataset_matrix(
         raise MetricError("cross_dataset_matrix: empty models or datasets")
     labels = [np.array([ds.labels[r.id] for r in ds.records], dtype=np.float64)
               for ds in datasets]
-    cells = [
-        (model, ds, np.asarray(model.score_fn(ds.records), dtype=np.float64), mos)
-        for model in models
-        for ds, mos in zip(datasets, labels)
-    ]
+    cells = []
+    for model in models:
+        scored: dict[int, np.ndarray] = {}  # by id of a records list
+        for ds, mos in zip(datasets, labels):
+            if id(ds.records) not in scored:
+                scored[id(ds.records)] = np.asarray(model.score_fn(ds.records),
+                                                    dtype=np.float64)
+            cells.append((model, ds, scored[id(ds.records)], mos))
     groups: dict[int, list[int]] = {}
     for c, (model, ds, preds, mos) in enumerate(cells):
         try:

@@ -5,7 +5,13 @@ as float64 in [0, 1]; integer samples are divided by the maximum value of
 the bit depth on read and written back with round-to-nearest. The reader
 takes bit depth 8 or 16 and all five scanline filters, as PNGs made
 elsewhere may use them; the writer always emits 16 bits, filter type 0 and
-a fixed zlib level, so identical arrays produce identical files.
+an IDAT of stored (uncompressed) deflate blocks, so identical arrays
+produce identical files. Compression buys almost nothing on the 16-bit
+noise textures biqa writes (a 48x48 image's IDAT is 4597 bytes at zlib
+level 6 against 4667 stored) and costs far more time than the bytes it
+saves; and stored data leaves zlib few encoding choices, where level-6
+output may change with the zlib build. The reader decodes any
+level, so files written compressed read back to the same pixels.
 
 write_atomic is the one way biqa writes a file: a temp file, then a rename.
 """
@@ -20,6 +26,7 @@ import numpy as np
 
 _SIGNATURE = b"\x89PNG\r\n\x1a\n"
 _WRITE_DEPTH = 16
+_ZLIB_LEVEL = 0  # stored blocks; the zlib stream opens with 78 01
 
 
 class PngError(Exception):
@@ -74,7 +81,7 @@ def write_png(path: str, pixels: np.ndarray) -> np.ndarray:
     scanlines = lines.tobytes()
 
     ihdr = struct.pack(">IIBBBBB", width, height, _WRITE_DEPTH, color_type, 0, 0, 0)
-    body = _chunk(b"IHDR", ihdr) + _chunk(b"IDAT", zlib.compress(scanlines, 6))
+    body = _chunk(b"IHDR", ihdr) + _chunk(b"IDAT", zlib.compress(scanlines, _ZLIB_LEVEL))
     write_atomic(path, _SIGNATURE + body + _chunk(b"IEND", b""))
     return (raw.astype(np.float64) / maxval).reshape(shape)
 

@@ -162,21 +162,40 @@ def _gaussian_kernel(sigma: float) -> np.ndarray:
     return taps / taps.sum()
 
 
-def _blur(pixels: np.ndarray, sigma: float) -> np.ndarray:
-    taps = _gaussian_kernel(sigma)
-    radius = (len(taps) - 1) // 2
-    out = pixels
-    for axis in (0, 1):
-        pad = [(0, 0)] * out.ndim
+def _blur_block(pixels: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """Blur each (size, size) image of a (k, size, size) block with its own
+    sigma, in one pass over the block.
+
+    The images are taken widest kernel first, and the block is padded once,
+    by reflection, at the widest radius R. Tap i of the 2R + 1 is added over
+    the leading images whose kernels reach it, a slice of the block, so each
+    image gets its own taps in its own order. The reflected rows at radius R
+    hold those at any smaller radius, so every pixel keeps the bits a lone
+    blur at its own radius gives it.
+    """
+    kernels = [_gaussian_kernel(sigma) for sigma in sigmas]
+    radii = np.array([len(kernel) // 2 for kernel in kernels])
+    order = np.argsort(-radii, kind="stable")
+    radius = radii[order[0]]
+    taps = np.zeros((len(kernels), 2 * radius + 1))  # row n: the n-th widest, centered
+    for row, j in zip(taps, order):
+        row[radius - radii[j]:radius + radii[j] + 1] = kernels[j]
+    # tap i reaches the images of radius at least |i - R|
+    reach = (radii >= np.abs(np.arange(-radius, radius + 1))[:, None]).sum(axis=1).tolist()
+    out = pixels[order]
+    for axis in (1, 2):
+        pad = [(0, 0)] * 3
         pad[axis] = (radius, radius)
         padded = np.pad(out, pad, mode="reflect")
         acc = np.zeros_like(out)
-        for i, tap in enumerate(taps):
-            sl = [slice(None)] * out.ndim
+        for i, n in enumerate(reach):
+            sl = [slice(n), slice(None), slice(None)]
             sl[axis] = slice(i, i + out.shape[axis])
-            acc += tap * padded[tuple(sl)]
+            acc[:n] += taps[:n, i, None, None] * padded[tuple(sl)]
         out = acc
-    return out
+    blurred = np.empty_like(out)
+    blurred[order] = out
+    return blurred
 
 
 def _degrade(pixels: np.ndarray, kinds: np.ndarray, magnitudes: np.ndarray,
@@ -186,14 +205,16 @@ def _degrade(pixels: np.ndarray, kinds: np.ndarray, magnitudes: np.ndarray,
     kinds and magnitudes hold one entry per image; stream is the chunk's
     image streams, each just past its 2-word block. gaussian_blur:
     separable Gaussian, sigma = 4*m, kernel cut at 3 sigma, reflect
-    padding, one image at a time. additive_noise: i.i.d. Gaussian,
-    std = 0.3*m, from the image's stream words 3 ... 2 + 2*size*size, then
-    clamp to [0, 1]. contrast_reduction: p <- 0.5 + (1 - 0.8*m)*(p - 0.5).
+    padding, all of the chunk's blurred images in one pass. additive_noise:
+    i.i.d. Gaussian, std = 0.3*m, from the image's stream words
+    3 ... 2 + 2*size*size, then clamp to [0, 1]. contrast_reduction:
+    p <- 0.5 + (1 - 0.8*m)*(p - 0.5).
     Magnitude 0 leaves an image unchanged and draws nothing, for every kind.
     """
     live = magnitudes > 0.0
-    for j in np.flatnonzero(live & (kinds == "gaussian_blur")):
-        pixels[j] = _blur(pixels[j], BLUR_SIGMA_SCALE * magnitudes[j])
+    blurred = live & (kinds == "gaussian_blur")
+    if blurred.any():
+        pixels[blurred] = _blur_block(pixels[blurred], BLUR_SIGMA_SCALE * magnitudes[blurred])
     noisy = live & (kinds == "additive_noise")
     noise = SplitMix64(stream.seed[noisy])
     noise.counter = stream.counter

@@ -14,9 +14,11 @@ from biqa.synthbench import (
     GEN_BATCH,
     KINDS,
     NOISE_STD_SCALE,
+    MIN_BLUR_IMAGE_SIZE,
     BiasedDatasetConfig,
     _base_textures,
-    _blur,
+    _degrade,
+    _gaussian_kernel,
     gen_biased_dataset,
 )
 
@@ -57,9 +59,28 @@ def _oracle_base_pixels(size, rng):
     return ((img - lo) / (hi - lo))[:, :, None]
 
 
+def _blur(pixels, sigma):
+    """One image's blur, padded by reflection at its own radius, each tap
+    added over the image."""
+    taps = _gaussian_kernel(sigma)
+    radius = (len(taps) - 1) // 2
+    out = pixels
+    for axis in (0, 1):
+        pad = [(0, 0)] * out.ndim
+        pad[axis] = (radius, radius)
+        padded = np.pad(out, pad, mode="reflect")
+        acc = np.zeros_like(out)
+        for i, tap in enumerate(taps):
+            sl = [slice(None)] * out.ndim
+            sl[axis] = slice(i, i + out.shape[axis])
+            acc += tap * padded[tuple(sl)]
+        out = acc
+    return out
+
+
 def _oracle_degrade(pixels, kind, magnitude, rng):
-    """One image's distortion, its noise drawn one word pair per normal.
-    The blur is the generator's own: it runs one image at a time there too."""
+    """One image's distortion, its noise drawn one word pair per normal and
+    its blur done alone, where the generator blurs a chunk's images at once."""
     if magnitude == 0.0:
         return pixels
     if kind == "gaussian_blur":
@@ -131,6 +152,52 @@ def test_gen_base_image_matches_oracle(monkeypatch, size):
         oracle = ScalarSplitMix64(seed)
         assert np.array_equal(row[:, :, None], _oracle_base_pixels(size, oracle))
         assert made[-1].counter == oracle.counter
+
+
+def _assert_degrade_matches_oracle(size, kinds, magnitudes):
+    """_degrade on one chunk of base textures against the oracle, image by
+    image, bit for bit."""
+    seeds = [derive_seed(size, "chunk", j) for j in range(len(kinds))]
+    pixels = _base_textures(size, seeds)
+    expected = []
+    for seed, base, kind, magnitude in zip(seeds, pixels, kinds, magnitudes, strict=True):
+        oracle = ScalarSplitMix64(seed)
+        oracle.counter = 2  # past the image's 2-word block
+        expected.append(_oracle_degrade(base[:, :, None].copy(), kind, magnitude, oracle))
+    stream = SplitMix64(seeds)
+    stream.next_u64_block(2)
+    _degrade(pixels, np.array(kinds), np.array(magnitudes), stream)
+    assert pixels[:, :, :, None].tobytes() == np.stack(expected).tobytes()
+
+
+# radius ceil(12 m) is r for m in ((r - 1) / 12, r / 12]; one m inside each
+# interval and one at its top
+_EVERY_RADIUS = [m for r in range(1, 13) for m in ((r - 0.5) / 12, r / 12)]
+
+
+@pytest.mark.parametrize("size", [MIN_BLUR_IMAGE_SIZE, 48])
+def test_one_pass_blur_matches_oracle_at_every_radius(size):
+    radii = {len(_gaussian_kernel(BLUR_SIGMA_SCALE * m)) // 2 for m in _EVERY_RADIUS}
+    assert radii == set(range(1, 13))
+    blurs = ["gaussian_blur"] * len(_EVERY_RADIUS)
+    _assert_degrade_matches_oracle(size, blurs, _EVERY_RADIUS)
+    # the same radii among the other kinds and a blur of magnitude 0
+    kinds = list(KINDS) * len(_EVERY_RADIUS) + ["gaussian_blur"]
+    magnitudes = [x for m in _EVERY_RADIUS for x in (m, 0.3, 0.6)] + [0.0]
+    _assert_degrade_matches_oracle(size, kinds, magnitudes)
+
+
+@pytest.mark.parametrize("size", [MIN_BLUR_IMAGE_SIZE, 20])
+@pytest.mark.parametrize("kinds, magnitudes", [
+    (["additive_noise", "contrast_reduction", "additive_noise"], [0.4, 0.9, 0.2]),
+    (["contrast_reduction", "gaussian_blur", "additive_noise", "gaussian_blur"],
+     [0.5, 0.7, 0.3, 0.0]),
+    (["gaussian_blur"], [1.0 - 2.0**-53]),
+])
+def test_one_pass_blur_matches_oracle_with_no_or_one_blur(size, kinds, magnitudes):
+    """A chunk with no blurred image, one with one (and one of magnitude 0),
+    and a lone image at the widest radius."""
+    _assert_degrade_matches_oracle(size, kinds, magnitudes)
 
 
 def _assert_matches_oracle(config, tmp_path, monkeypatch) -> set[str]:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from biqa import harness
+from biqa import harness, png_io
 from biqa.__main__ import BLAS_VARS
 from biqa.dataset import ImageRecord
 from biqa.harness import (
@@ -703,6 +703,56 @@ def test_write_interrupted_after_its_temp_file_resumes_to_same_bytes(
     monkeypatch.undo()
     assert os.path.exists(dest + ".tmp") and not os.path.exists(dest)
     _resume_matches_clean_run(out, work)
+
+
+def test_a_tree_of_deflated_pngs_resumes_without_a_change(tiny_run, tmp_path, monkeypatch,
+                                                          caplog):
+    """Trees written before the IDAT was stored hold PNGs deflated at zlib
+    level 6: they verify against their records and resume as they are."""
+    out, _ = tiny_run
+    old = str(tmp_path / "old")
+    monkeypatch.setattr(png_io, "_ZLIB_LEVEL", 6)
+    ExperimentRunner(_tiny_config(), old, threads=1).run_all()
+    monkeypatch.undo()
+    before = _tree_hashes(old)
+    now = _tree_hashes(out)
+    pngs = [p for p in now if p.endswith(".png")]
+    assert pngs and all(before[p] != now[p] for p in pngs)
+    # the same pixels, so the same models and pair files
+    assert {p: before[p] for p in now if p.startswith(("models", "pairs"))} == {
+        p: now[p] for p in now if p.startswith(("models", "pairs"))}
+    caplog.set_level("INFO", logger="biqa.harness")
+    ExperimentRunner(_tiny_config(), old, threads=1).run_all()
+    assert len([m for m in caplog.messages if m.endswith(": skipped (up to date)")]) == 7
+    assert _tree_hashes(old) == before
+
+
+def test_cross_eval_scores_each_model_once_per_record_list(tiny_run, tmp_path, monkeypatch):
+    """A q* set shares its dataset's records, so 3 models on 2 datasets'
+    q* and label columns make 6 scoring calls, not 12."""
+    import shutil
+
+    out, _ = tiny_run
+    work = str(tmp_path / "clone")
+    shutil.copytree(out, work)
+    real_scorer = harness.crop_scorer
+    calls = []
+
+    def counted_scorer(params, crops):
+        score = real_scorer(params, crops)
+
+        def score_fn(records):
+            calls.append(len(records))
+            return score(records)
+
+        return score_fn
+
+    monkeypatch.setattr(harness, "crop_scorer", counted_scorer)
+    monkeypatch.setattr(harness, "REPORT_VERSION", harness.REPORT_VERSION + 1)
+    ExperimentRunner(_tiny_config(), work, threads=1).run_cross_eval()
+    assert calls == [14, 14] * 3
+    report = os.path.join("reports", "cross-eval.json")
+    assert Path(work, report).read_bytes() == Path(out, report).read_bytes()
 
 
 def test_data_stage_drops_images_of_an_earlier_larger_pool(tmp_path):

@@ -488,6 +488,26 @@ def test_cross_dataset_matrix_scores_each_cell_once_model_major():
     assert calls == [(m, d, n) for m in ("m0", "m1") for d, n in (("a", 20), ("b", 25), ("c", 20))]
 
 
+def test_cross_dataset_matrix_scores_a_shared_record_list_once():
+    # "q" is a second label set on a's records, as a q* set is in the harness
+    ds = [_manifest("a", 20, 1), _manifest("b", 25, 2)]
+    ds.append(DatasetManifest("q", ds[0].records,
+                              {rid: v * v for rid, v in ds[0].labels.items()}))
+    lookup = {m.name: m.labels for m in ds}
+    calls = []
+    models = [
+        ScoredModel(name=f"m{i}", trained_on="a",
+                    score_fn=_noisy_scorer(lookup, 0.7 + i, calls, f"m{i}"))
+        for i in range(2)
+    ]
+    matrix = cross_dataset_matrix(models, ds)
+    assert calls == [(m, d, n) for m in ("m0", "m1") for d, n in (("a", 20), ("b", 25))]
+    # each cell is the one a dataset with its own copy of the list gets
+    apart = [DatasetManifest(d.name, list(d.records), d.labels) for d in ds]
+    assert matrix == cross_dataset_matrix(models, apart)
+    assert len(calls) == 4 + 6
+
+
 def test_cross_dataset_matrix_cells_equal_evaluate(monkeypatch):
     import biqa.metrics as metrics_module
 

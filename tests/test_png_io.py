@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from biqa import png_io
 from biqa.png_io import PngError, read_png, write_atomic, write_png
 from biqa.rng import SplitMix64
 
@@ -200,20 +201,45 @@ def test_reader_unfilters_a_late_row_after_unfiltered_rows(tmp_path):
     ]
 
 
+def _adler32(data: bytes) -> int:
+    a, b = 1, 0
+    for byte in data:
+        a = (a + byte) % 65521
+        b = (b + a) % 65521
+    return b << 16 | a
+
+
 def test_writer_bytes_match_per_row_scanlines(tmp_path):
-    # the IDAT stream is one 0 filter byte plus the big-endian samples per row
+    # the IDAT stream is one 0 filter byte plus the big-endian samples per
+    # row, in one stored deflate block: the zlib header 78 01, the final-
+    # block byte 01, LEN and its complement NLEN (little-endian), the raw
+    # bytes, then their Adler-32 (big-endian)
     img = SplitMix64(4).uniform_block(7 * 5 * 3).reshape(7, 5, 3)
     path = tmp_path / "w.png"
     write_png(str(path), img)
     quant = np.clip(np.rint(img * 65535), 0, 65535).astype(">u2")
     scan = b"".join(b"\x00" + row.tobytes() for row in quant.reshape(7, -1))
+    stored = (b"\x78\x01\x01" + struct.pack("<HH", len(scan), 0xFFFF ^ len(scan))
+              + scan + struct.pack(">I", _adler32(scan)))
     expected = (
         b"\x89PNG\r\n\x1a\n"
         + _chunk(b"IHDR", struct.pack(">IIBBBBB", 5, 7, 16, 2, 0, 0, 0))
-        + _chunk(b"IDAT", zlib.compress(scan, 6))
+        + _chunk(b"IDAT", stored)
         + _chunk(b"IEND", b"")
     )
     assert path.read_bytes() == expected
+
+
+def test_a_compressed_file_reads_back_to_the_same_pixels(tmp_path, monkeypatch):
+    # files written before the IDAT was stored used zlib level 6
+    img = SplitMix64(5).uniform_block(48 * 48).reshape(48, 48)
+    stored = write_png(str(tmp_path / "stored.png"), img)
+    monkeypatch.setattr(png_io, "_ZLIB_LEVEL", 6)
+    write_png(str(tmp_path / "deflated.png"), img)
+    blob = (tmp_path / "deflated.png").read_bytes()
+    assert blob[41:43] == b"\x78\x9c"  # the IDAT's zlib header at level 6
+    assert blob != (tmp_path / "stored.png").read_bytes()
+    assert np.array_equal(read_png(str(tmp_path / "deflated.png")), stored)
 
 
 def test_write_atomic_keeps_old_bytes_when_the_rename_fails(tmp_path, monkeypatch):
