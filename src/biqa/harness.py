@@ -579,25 +579,20 @@ class ExperimentRunner:
             by_name = dict(zip(names, table))
             prov_by_name = dict(zip(names, snapshot.provenance))
             outputs = {}
-            # one ensemble at a time: label its largest rung, write every rung
-            # as a prefix of it, then let it go
-            for tag in sorted({tag for tag, _ in units}):
+            for tag, n in units:
                 members = tag.split("+")
-                rungs = [n for t, n in units if t == tag]
-                full = build_pair_manifest(
+                manifest = build_pair_manifest(
                     pool_manifest.name,
                     image_ids,
-                    [by_name[n] for n in members],
-                    [prov_by_name[n] for n in members],
-                    max(rungs),
+                    [by_name[m] for m in members],
+                    [prov_by_name[m] for m in members],
+                    n,
                     pairs_seed,
                 )
-                for n in rungs:
-                    rung = replace(full, n_pairs=n, x=full.x[:n], y=full.y[:n], p_r=full.p_r[:n])
-                    rel = f"pairs/pairs-{tag}-n{n}"
-                    save_pair_manifest(rung, os.path.join(self.out_dir, rel + ".csv"))
-                    for label, ext in (("pairs", ".csv"), ("pairs-meta", ".json")):
-                        outputs[f"{label}:{tag}:n{n}"] = self.state.entry(rel + ext)
+                rel = f"pairs/pairs-{tag}-n{n}"
+                save_pair_manifest(manifest, os.path.join(self.out_dir, rel + ".csv"))
+                for label, ext in (("pairs", ".csv"), ("pairs-meta", ".json")):
+                    outputs[f"{label}:{tag}:n{n}"] = self.state.entry(rel + ext)
             return outputs
 
         payload = {

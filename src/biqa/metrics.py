@@ -213,13 +213,13 @@ def _fit_rows(x: np.ndarray, y: np.ndarray) -> list[list[float]]:
             damping.reshape(-1, 25)[:, ::6] = np.maximum(hess.reshape(-1, 25)[:, ::6], 1e-12)
             moved = False
         damped = hess + lam[:, None, None] * damping
-        singular = None
+        singular = np.zeros(rows.size, dtype=bool)
         try:
             trial = b + np.linalg.solve(damped, neg_grad)[:, :, 0]
         except np.linalg.LinAlgError:
             # one row at a time: a singular row takes no step, so it is
             # rejected below, which grows its lam, but never stops for it
-            trial, singular = b.copy(), np.zeros(rows.size, dtype=bool)
+            trial = b.copy()
             for i in range(rows.size):
                 try:
                     trial[i] += np.linalg.solve(damped[i], neg_grad[i])[:, 0]
@@ -227,32 +227,16 @@ def _fit_rows(x: np.ndarray, y: np.ndarray) -> list[list[float]]:
                     singular[i] = True
         trial_sig, trial_residual, sse_trial = _logistic_terms(xs, ys, trial)
         # an SSE is never negative, so a non-finite trial SSE is never less
-        better = sse_trial < s_sse
-        if singular is not None:
-            better &= ~singular
-        n_better = np.count_nonzero(better)
-        if n_better:
-            improved = (s_sse - sse_trial) / np.maximum(s_sse, 1e-300)
-            moved = True
-        # every row taking its step, or none, is the common case, and the
-        # only one a lone fit has
-        if n_better == rows.size:
-            b, s_sse, sig, residual = trial, sse_trial, trial_sig, trial_residual
-            lam = np.maximum(lam / 10.0, 1e-15)
-            stop = improved < LM_REL_TOL
-        elif n_better:
-            take = better[:, None]
-            b = np.where(take, trial, b)
-            s_sse = np.where(better, sse_trial, s_sse)
-            sig = np.where(take, trial_sig, sig)
-            residual = np.where(take, trial_residual, residual)
-            lam = np.where(better, np.maximum(lam / 10.0, 1e-15), lam * 10.0)
-            stop = np.where(better, improved < LM_REL_TOL, lam > 1e15)
-        else:
-            lam = lam * 10.0
-            stop = lam > 1e15
-        if singular is not None:
-            stop &= ~singular
+        better = (sse_trial < s_sse) & ~singular
+        improved = (s_sse - sse_trial) / np.maximum(s_sse, 1e-300)
+        moved = bool(better.any())
+        take = better[:, None]
+        b = np.where(take, trial, b)
+        s_sse = np.where(better, sse_trial, s_sse)
+        sig = np.where(take, trial_sig, sig)
+        residual = np.where(take, trial_residual, residual)
+        lam = np.where(better, np.maximum(lam / 10.0, 1e-15), lam * 10.0)
+        stop = np.where(better, improved < LM_REL_TOL, lam > 1e15) & ~singular
         if np.count_nonzero(stop):
             done = rows[stop]
             beta[done], sse[done] = b[stop], s_sse[stop]

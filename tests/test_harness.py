@@ -349,15 +349,17 @@ def test_each_stage_call_returns_its_memoized_result(tmp_path, caplog):
 
 def test_pair_manifests_are_nested(tiny_run):
     out, summary = tiny_run
-    from biqa.pseudolabel import load_pair_manifest
-
     small_key = [k for k in summary["pairs"] if k.endswith(":n6")][0]
     big_key = [k for k in summary["pairs"] if k.endswith(":n20")][0]
-    small = load_pair_manifest(os.path.join(out, summary["pairs"][small_key]["path"]))
-    big = load_pair_manifest(os.path.join(out, summary["pairs"][big_key]["path"]))
-    assert [(s.x_id, s.y_id) for s in big.samples[:6]] == [
-        (s.x_id, s.y_id) for s in small.samples
-    ]
+    small, big = (Path(out, summary["pairs"][k]["path"]) for k in (small_key, big_key))
+    small_lines, big_lines = (p.read_text().splitlines() for p in (small, big))
+    assert small_lines[0] == big_lines[0] == "x_id,y_id,p_r"
+    assert len(small_lines) == 7 and len(big_lines) == 21
+    # whole rows, p_r included: the 6-pair file is the 20-pair file's head
+    assert small_lines[1:] == big_lines[1:7]
+    small_meta, big_meta = (json.loads(p.with_suffix(".json").read_text()) for p in (small, big))
+    assert (small_meta.pop("n_pairs"), big_meta.pop("n_pairs")) == (6, 20)
+    assert small_meta == big_meta
 
 
 def test_rerun_skips_and_preserves_bytes(tiny_run):

@@ -294,6 +294,20 @@ def test_fit_logistic_returns_five_floats_per_row():
     assert all(len(row) == 5 and all(type(v) is float for v in row) for row in block)
 
 
+def test_fit_logistic_block_of_identical_rows_is_the_lone_fit():
+    # every row of such a block takes its step, or refuses it, on the same
+    # iteration as the others, to the end of a fit that converges and of
+    # one that damps out
+    fits = {}
+    for pairs in _reference_grid().values():
+        for s, y in pairs:
+            ref, how, _ = _reference_fit_logistic(s, y)
+            fits.setdefault(how, (s, y, ref))
+    for how in ("converged", "damping"):
+        s, y, ref = fits[how]
+        assert fit_logistic(np.stack([s] * 3), np.stack([y] * 3)) == [ref] * 3, how
+
+
 def test_fit_logistic_block_names_its_bad_row():
     pairs = _reference_grid()[8][:4]
     x = np.stack([s for s, _ in pairs])
